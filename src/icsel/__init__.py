@@ -3,7 +3,7 @@
 from .data import Dataset, Observation, StandardizationRecord, standardize, validate
 from .em import EMWorkspace, FitDiagnostics, estep, fit_fixed_theta, mstep_lambda
 from .errors import DegenerateSupportError, NumericalError, ParseError, ValidationError
-from .likelihood import ModelState, cumulative_hazard, loglik, loglik_truncated
+from .likelihood import ModelState, cumulative_hazard, loglik
 from .metrics import AggregateReport, FitReport, aggregate, hazard_sup_distance, score
 from .path import PathResult, adaptive_lasso_pipeline, gic, run_path, theta_grid
 from .penalties import (
@@ -24,7 +24,7 @@ from .simulate import (
     midpoint_impute,
     scenario_from_preset,
 )
-from .support import SupportSet, maximal_intersections, maximal_intersections_truncated
+from .support import SupportSet, maximal_intersections
 
 __version__ = "0.1.0"
 
@@ -57,10 +57,8 @@ __all__ = [
     "hazard_sup_distance",
     "impute_genotypes",
     "loglik",
-    "loglik_truncated",
     "make_replicate",
     "maximal_intersections",
-    "maximal_intersections_truncated",
     "midpoint_impute",
     "mstep_lambda",
     "penalty_deriv",

@@ -18,7 +18,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +42,7 @@ from .simulate import (
     replicate_seeds,
     scenario_from_preset,
 )
-from .support import maximal_intersections, maximal_intersections_truncated
+from .support import maximal_intersections
 
 THREADS_ENV = "ICSEL_THREADS"
 FAMILY_CHOICES = ("lasso", "adaptive_lasso", "scad", "mcp")
@@ -217,20 +217,13 @@ def write_path_csv(path, result: PathResult) -> None:
             )
 
 
-def _json_ready(obj):
+def _json_default(obj):
+    """json.dump hook: arrays become lists, numpy scalars Python scalars."""
     if isinstance(obj, np.ndarray):
-        return [_json_ready(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, dict):
-        return {k: _json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_ready(v) for v in obj]
-    return obj
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def model_json(
@@ -278,68 +271,30 @@ def model_json(
         "warnings": list(result.warnings),
         "degenerate": result.degenerate,
     }
-    return _json_ready(doc)
+    return doc
 
 
 def write_model_json(path, result, record, names) -> None:
     with open(path, "w") as fh:
-        json.dump(model_json(result, record, names), fh, indent=1)
+        json.dump(model_json(result, record, names), fh, indent=1, default=_json_default)
         fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
-# run configuration
+# commands; each reads the argparse namespace of its subcommand
 
 
-@dataclass
-class RunConfig:
-    """Validated command configuration; exactly one command per run."""
-
-    command: str
-    input: str | None = None
-    output_model: str | None = None
-    output_path_csv: str | None = None
-    output: str | None = None
-    output_dir: str | None = None
-    family: str | None = None
-    alpha: float | None = None
-    standardize: bool = True
-    truncation: bool = False
-    unpenalized: list[str] = field(default_factory=list)
-    penalty_factors: str | None = None
-    seed: int | None = None
-    replicates: int | None = None
-    threads: int = 1
-    preset: str | None = None
-    n: int | None = None
-    p: int | None = None
-    rho: float | None = None
-    beta: str | None = None
-    fit_families: list[str] = field(default_factory=list)
-    emit_data: bool = False
-    emit_midpoint: bool = False
-    estimates: str | None = None
-    truth: str | None = None
-    tol: float = 0.0
-    mode: str | None = None
-
-    def require(self, **fields) -> None:
-        for name, ok in fields.items():
-            if not ok:
-                raise ValidationError(f"{self.command}: missing or invalid --{name}")
-
-
-def _penalty_factors_for(config: RunConfig, names: list[str], p: int) -> np.ndarray:
+def _penalty_factors_for(args: argparse.Namespace, names: list[str], p: int) -> np.ndarray:
     factors = np.ones(p)
-    if config.penalty_factors:
-        mat, _ = read_matrix_csv(config.penalty_factors)
+    if args.penalty_factors:
+        mat, _ = read_matrix_csv(args.penalty_factors)
         flat = mat.ravel()
         if flat.size != p:
             raise ValidationError(
                 f"penalty factor file has {flat.size} entries for {p} covariates"
             )
         factors = flat
-    for raw in config.unpenalized:
+    for raw in args.unpenalized.split(","):
         name = raw.strip()
         if not name:
             continue
@@ -349,24 +304,21 @@ def _penalty_factors_for(config: RunConfig, names: list[str], p: int) -> np.ndar
     return factors
 
 
-def _prepare_dataset(config: RunConfig):
-    dataset, names = read_dataset_csv(config.input)
-    factors = _penalty_factors_for(config, names, dataset.p)
+def _prepare_dataset(args: argparse.Namespace):
+    dataset, names = read_dataset_csv(args.input)
+    factors = _penalty_factors_for(args, names, dataset.p)
     dataset = dataset.replace(penalty_factors=factors)
     violations = validate(dataset)
     if violations:
         raise ValidationError("; ".join(violations))
-    if not config.truncation and np.any(dataset.truncation > 0):
+    if not args.truncation and np.any(dataset.truncation > 0):
         raise ValidationError(
             "input has positive trunc values; rerun with --truncation to honor them"
         )
     record = None
-    if config.standardize:
+    if args.standardize:
         dataset, record = standardize(dataset)
-    if config.truncation and np.any(dataset.truncation > 0):
-        support = maximal_intersections_truncated(dataset)
-    else:
-        support = maximal_intersections(dataset)
+    support = maximal_intersections(dataset)
     if support.m == 0:
         raise DegenerateSupportError(
             "no maximal intersection with a finite right endpoint exists"
@@ -374,42 +326,30 @@ def _prepare_dataset(config: RunConfig):
     return dataset, names, record, support
 
 
-def _fit_path(config: RunConfig, dataset, support) -> PathResult:
-    if config.family == "adaptive_lasso":
-        return adaptive_lasso_pipeline(dataset, support)
-    return run_path(dataset, support, config.family, alpha=config.alpha)
-
-
-def cmd_fit(config: RunConfig) -> int:
-    config.require(input=bool(config.input), family=config.family in FAMILY_CHOICES)
-    dataset, names, record, support = _prepare_dataset(config)
-    result = _fit_path(config, dataset, support)
-    write_model_json(config.output_model or "model.json", result, record, names)
-    write_path_csv(config.output_path_csv or "path.csv", result)
+def cmd_fit(args: argparse.Namespace) -> int:
+    """fit and path; path has no model file (output_model is None)."""
+    dataset, names, record, support = _prepare_dataset(args)
+    if args.family == "adaptive_lasso":
+        result = adaptive_lasso_pipeline(dataset, support)
+    else:
+        result = run_path(dataset, support, args.family, alpha=args.alpha)
+    if args.output_model is not None:
+        write_model_json(args.output_model, result, record, names)
+    write_path_csv(args.output_path_csv, result)
     return 0
 
 
-def cmd_path(config: RunConfig) -> int:
-    config.require(input=bool(config.input), family=config.family in FAMILY_CHOICES)
-    dataset, names, record, support = _prepare_dataset(config)
-    result = _fit_path(config, dataset, support)
-    write_path_csv(config.output_path_csv or "path.csv", result)
-    return 0
-
-
-def cmd_metrics(config: RunConfig) -> int:
-    config.require(estimates=bool(config.estimates), truth=bool(config.truth))
-    est, _ = read_matrix_csv(config.estimates)
-    truth, _ = read_matrix_csv(config.truth)
+def cmd_metrics(args: argparse.Namespace) -> int:
+    est, _ = read_matrix_csv(args.estimates)
+    truth, _ = read_matrix_csv(args.truth)
     truth = truth.ravel()
     if est.shape[1] != truth.size:
         raise ValidationError(
             f"estimates have {est.shape[1]} columns but truth has {truth.size}"
         )
-    reports = [score(row, truth, tol=config.tol) for row in est]
+    reports = [score(row, truth, tol=args.tol) for row in est]
     agg = aggregate(reports)
-    out = config.output or "report.csv"
-    with open(out, "w", newline="") as fh:
+    with open(args.output, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["row", "l1_error", "l2_error", "fp", "fn"])
         for i, rep in enumerate(reports):
@@ -425,21 +365,20 @@ def cmd_metrics(config: RunConfig) -> int:
     return 0
 
 
-def cmd_impute(config: RunConfig) -> int:
-    config.require(input=bool(config.input), mode=config.mode in ("genotype", "midpoint"))
-    out = config.output or "imputed.csv"
-    if config.mode == "genotype":
-        config.require(seed=config.seed is not None)
-        mat, header = read_matrix_csv(config.input, allow_nan=True)
-        rng = np.random.default_rng(np.random.SeedSequence(config.seed))
+def cmd_impute(args: argparse.Namespace) -> int:
+    if args.mode == "genotype":
+        if args.seed is None:
+            raise ValidationError("impute: missing or invalid --seed")
+        mat, header = read_matrix_csv(args.input, allow_nan=True)
+        rng = np.random.default_rng(np.random.SeedSequence(args.seed))
         filled = impute_genotypes(mat, rng)
-        write_matrix_csv(out, filled, header=header)
+        write_matrix_csv(args.output, filled, header=header)
     else:
-        dataset, names = read_dataset_csv(config.input)
+        dataset, names = read_dataset_csv(args.input)
         violations = validate(dataset)
         if violations:
             raise ValidationError("; ".join(violations))
-        write_midpoint_csv(out, dataset, names)
+        write_midpoint_csv(args.output, dataset, names)
     return 0
 
 
@@ -447,21 +386,15 @@ def cmd_impute(config: RunConfig) -> int:
 # simulation campaigns
 
 
-def _scenario_from_config(config: RunConfig) -> ScenarioConfig:
-    overrides = {}
-    if config.n is not None:
-        overrides["n"] = config.n
-    if config.p is not None:
-        overrides["p"] = config.p
-    if config.rho is not None:
-        overrides["rho"] = config.rho
-    if config.beta is not None:
-        overrides["beta"] = config.beta
-    if config.replicates is not None:
-        overrides["replicates"] = config.replicates
-    overrides["seed"] = config.seed
-    if config.preset:
-        return scenario_from_preset(config.preset, **overrides)
+def _scenario_from_args(args: argparse.Namespace) -> ScenarioConfig:
+    overrides = {
+        key: getattr(args, key)
+        for key in ("n", "p", "rho", "beta", "replicates")
+        if getattr(args, key) is not None
+    }
+    overrides["seed"] = args.seed
+    if args.preset:
+        return scenario_from_preset(args.preset, **overrides)
     for req in ("n", "p", "rho"):
         if req not in overrides:
             raise ValidationError(f"simulate without --preset needs --{req}")
@@ -514,7 +447,6 @@ def _replicate_worker(payload):
         else:
             beta_raw, lam_raw = state.beta, state.lam
         report = score(beta_raw, beta_true)
-        report.lambda_hat_curve = np.column_stack([support.upper, np.cumsum(lam_raw)])
         out["families"][fam] = {
             "report": report,
             "hazard_sup": hazard_sup_distance(
@@ -650,17 +582,16 @@ def _write_campaign_files(output_dir, scenario, families, results, aggregates):
         fh.write("\n")
 
 
-def cmd_simulate(config: RunConfig) -> int:
-    config.require(seed=config.seed is not None, output_dir=bool(config.output_dir))
-    scenario = _scenario_from_config(config)
+def cmd_simulate(args: argparse.Namespace) -> int:
+    scenario = _scenario_from_args(args)
     run_campaign(
         scenario,
-        config.fit_families,
-        output_dir=config.output_dir,
-        threads=config.threads,
-        do_standardize=config.standardize,
-        emit_data=config.emit_data,
-        emit_midpoint=config.emit_midpoint,
+        [f.replace("-", "_") for f in args.fit.split(",") if f.strip()],
+        output_dir=args.output_dir,
+        threads=args.threads if args.threads is not None else default_threads(),
+        do_standardize=args.standardize,
+        emit_data=args.emit_data,
+        emit_midpoint=args.emit_midpoint,
     )
     return 0
 
@@ -699,6 +630,7 @@ def build_parser() -> argparse.ArgumentParser:
     pathcmd = subs.add_parser("path", help="fit and emit the theta path table only")
     _add_fit_args(pathcmd)
     pathcmd.add_argument("--output-path", dest="output_path_csv", default="path.csv")
+    pathcmd.set_defaults(output_model=None)
 
     sim = subs.add_parser("simulate", help="run a simulation campaign")
     sim.add_argument("--preset", choices=sorted(PRESETS), default=None)
@@ -732,43 +664,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    fams = [f.replace("-", "_") for f in getattr(args, "fit", "").split(",") if f.strip()]
-    threads = getattr(args, "threads", None)
-    return RunConfig(
-        command=args.command,
-        input=getattr(args, "input", None),
-        output_model=getattr(args, "output_model", None),
-        output_path_csv=getattr(args, "output_path_csv", None),
-        output=getattr(args, "output", None),
-        output_dir=getattr(args, "output_dir", None),
-        family=getattr(args, "family", None),
-        alpha=getattr(args, "alpha", None),
-        standardize=getattr(args, "standardize", True),
-        truncation=getattr(args, "truncation", False),
-        unpenalized=[s for s in getattr(args, "unpenalized", "").split(",") if s.strip()],
-        penalty_factors=getattr(args, "penalty_factors", None),
-        seed=getattr(args, "seed", None),
-        replicates=getattr(args, "replicates", None),
-        threads=threads if threads is not None else default_threads(),
-        preset=getattr(args, "preset", None),
-        n=getattr(args, "n", None),
-        p=getattr(args, "p", None),
-        rho=getattr(args, "rho", None),
-        beta=getattr(args, "beta", None),
-        fit_families=fams,
-        emit_data=getattr(args, "emit_data", False),
-        emit_midpoint=getattr(args, "emit_midpoint", False),
-        estimates=getattr(args, "estimates", None),
-        truth=getattr(args, "truth", None),
-        tol=getattr(args, "tol", 0.0),
-        mode=getattr(args, "mode", None),
-    )
-
-
 _COMMANDS = {
     "fit": cmd_fit,
-    "path": cmd_path,
+    "path": cmd_fit,
     "simulate": cmd_simulate,
     "metrics": cmd_metrics,
     "impute": cmd_impute,
@@ -776,11 +674,9 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    config = config_from_args(args)
+    args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[config.command](config)
+        return _COMMANDS[args.command](args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

@@ -26,7 +26,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import DegenerateSupportError, NumericalError
-from .likelihood import ModelState, clamped_linpred, loglik, loglik_truncated
+from .likelihood import ModelState, clamped_linpred, loglik
 from .penalties import PenaltySpec, penalty_value, univariate_solve
 from .support import SupportSet
 
@@ -94,11 +94,6 @@ class EMWorkspace:
         """S_k = sum_i I(k in risk_i) e^{eta_i}."""
         return self._range_sums(self.a, self.d, exb)
 
-    def loglik(self, state: ModelState) -> float:
-        if self.truncated:
-            return loglik_truncated(state, self.dataset)
-        return loglik(state, self.dataset)
-
 
 @dataclass
 class EStepCache:
@@ -122,12 +117,6 @@ class EStepCache:
         out = np.zeros((ws.n, ws.m))
         for i in range(ws.n):
             out[i, ws.c[i] : ws.d[i]] = self.lam[ws.c[i] : ws.d[i]] * self.g[i]
-        return out
-
-    def risk_dense(self, ws: EMWorkspace) -> np.ndarray:
-        out = np.zeros((ws.n, ws.m), dtype=bool)
-        for i in range(ws.n):
-            out[i, ws.a[i] : ws.d[i]] = True
         return out
 
 
@@ -384,7 +373,7 @@ def fit_fixed_theta(
         beta, lam = beta_new, lam_new
         if track_objective:
             state = ModelState(beta=beta, lam=lam, support=ws.support)
-            obj = ws.loglik(state) - ws.n * penalty_total(spec, beta, ws.pen_mask)
+            obj = loglik(state, ws.dataset) - ws.n * penalty_total(spec, beta, ws.pen_mask)
             if diag.objective_trace:
                 prev = diag.objective_trace[-1]
                 if obj < prev - 1e-8 * (1.0 + abs(prev)):

@@ -72,48 +72,31 @@ def cumulative_hazard(state: ModelState, t) -> float | np.ndarray:
     return float(out) if np.ndim(t) == 0 else out
 
 
-def _interval_masses(state: ModelState, dataset: Dataset):
-    us = state.support.upper
-    cum = np.concatenate(([0.0], np.cumsum(state.lam)))
-    at_left = cum[np.searchsorted(us, dataset.left, side="right")]
-    idx_right = np.searchsorted(us, dataset.right, side="right")
-    at_right = cum[idx_right]
-    at_trunc = cum[np.searchsorted(us, dataset.truncation, side="right")]
-    return at_left, at_right, at_trunc
-
-
 def _check_finite(state: ModelState):
     if not (np.all(np.isfinite(state.beta)) and np.all(np.isfinite(state.lam))):
         raise ValueError("model state contains non-finite beta or lambda values")
 
 
-def loglik(state: ModelState, dataset: Dataset, _truncated: bool = False) -> float:
+def loglik(state: ModelState, dataset: Dataset) -> float:
     """Observed-data log likelihood in jump-size form.
 
-    Returns -inf when any interval-censored subject has zero bracket mass
-    (B_i = 0). The linear predictor is clamped to +-700 as a safety valve for
-    divergent intermediate iterates.
+    Each subject conditions on T > V_i0; without truncation Lambda(V_i0) = 0
+    because every u_k > 0, so the subtracted term is exactly zero. Returns
+    -inf when any interval-censored subject has zero bracket mass (B_i = 0).
+    The linear predictor is clamped to +-700 as a safety valve for divergent
+    intermediate iterates.
     """
     _check_finite(state)
     eta, _ = clamped_linpred(dataset.covariates, state.beta)
     exb = np.exp(eta)
-    at_left, at_right, at_trunc = _interval_masses(state, dataset)
+    at_left, at_right, at_trunc = (
+        cumulative_hazard(state, t) for t in (dataset.left, dataset.right, dataset.truncation)
+    )
     ic = np.isfinite(dataset.right)
-    A = at_left * exb
-    if _truncated:
-        A = A - at_trunc * exb
+    A = at_left * exb - at_trunc * exb
     total = -float(np.sum(A))
     B = (at_right[ic] - at_left[ic]) * exb[ic]
     if np.any(B <= 0.0):
         return -math.inf
     total += float(np.sum(log1mexp(B)))
     return total
-
-
-def loglik_truncated(state: ModelState, dataset: Dataset) -> float:
-    """Left-truncated variant: each subject conditions on T > V_i0.
-
-    With all V_i0 = 0 this equals loglik exactly (Lambda(0) = 0); jumps at
-    u_k <= V_i0 cancel algebraically from subject i's contribution.
-    """
-    return loglik(state, dataset, _truncated=True)

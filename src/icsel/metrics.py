@@ -24,8 +24,6 @@ class FitReport:
     fn: int
     beta_hat_on_true_support: np.ndarray
     nnz: int
-    # optional fitted cumulative-hazard step curve, rows (time, value)
-    lambda_hat_curve: np.ndarray | None = None
 
 
 @dataclass

@@ -21,7 +21,7 @@ import numpy as np
 from .data import Dataset
 from .em import EMWorkspace, baseline_lambda_fit, estep, fit_fixed_theta, surrogate
 from .errors import NumericalError
-from .likelihood import ModelState
+from .likelihood import ModelState, loglik
 from .penalties import DEFAULT_ALPHA, PenaltySpec, theta_max
 from .support import SupportSet
 
@@ -170,7 +170,7 @@ def run_path(
                 f"theta_max fit returned {nnz} nonzero penalized coefficients"
             )
         states.append(state)
-        lls[r] = ws.loglik(state)
+        lls[r] = loglik(state, ws.dataset)
         dfs[r] = nnz
         iters[r] = diag.iterations
         conv[r] = diag.converged

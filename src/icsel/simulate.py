@@ -130,11 +130,6 @@ def gen_event_times(
     return event_time_from_exponential(E, xb, eta, kappa)
 
 
-def gen_event_time(z, beta, eta: float, kappa: float, rng: np.random.Generator) -> float:
-    """Single-subject version of gen_event_times."""
-    return float(gen_event_times(np.atleast_2d(z), np.asarray(beta), eta, kappa, rng)[0])
-
-
 def gen_inspections(rng: np.random.Generator, n: int | None = None) -> np.ndarray:
     """Inspection times V_t = V_{t-1} + U(0.1, (2+t)/10), V_0 = 0, t = 1..6."""
     upper = (2.0 + np.arange(1, 7)) / 10.0

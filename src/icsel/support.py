@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .errors import ValidationError
 
 
 @dataclass(frozen=True)
@@ -65,32 +64,19 @@ def _adjacent_pairs(left_candidates, right_candidates, min_left=None):
 
 
 def maximal_intersections(dataset: Dataset) -> SupportSet:
-    """Maximal intersections for interval-censored data without truncation.
+    """Maximal intersections of a dataset's observation intervals.
 
     Candidates are l in {L_i}, u in {R_i : R_i < inf}; the open interior must
-    contain no L or finite R. An empty result is legal (for example when every
-    subject is right-censored) and blocks any downstream fit.
+    contain no L or finite R. When any truncation time is positive the entry
+    times V_i0 join both sets and only intervals with l > 0 are kept; that
+    rule drops intervals the untruncated one would keep when some L_i = 0, a
+    discrepancy inherited as written. An empty result is legal (for example
+    when every subject is right-censored) and blocks any downstream fit.
     """
-    if np.any(dataset.truncation > 0):
-        raise ValidationError(
-            "dataset has positive truncation times; use maximal_intersections_truncated"
-        )
-    finite_r = dataset.right[np.isfinite(dataset.right)]
-    if finite_r.size == 0:
-        return SupportSet(lower=np.array([]), upper=np.array([]))
-    return _adjacent_pairs(dataset.left, finite_r)
-
-
-def maximal_intersections_truncated(dataset: Dataset) -> SupportSet:
-    """Maximal intersections under left truncation.
-
-    Right-endpoint candidates are {finite R_i} union {V_i0}; the interior must
-    exclude every L, finite R and V0 value; only intervals with l > 0 are kept.
-    Note the l > 0 rule drops intervals the untruncated rule would keep when
-    some L_i = 0; that discrepancy is inherited as written, not reconciled.
-    """
-    finite_r = dataset.right[np.isfinite(dataset.right)]
-    right_candidates = np.concatenate([finite_r, dataset.truncation])
+    right_candidates = dataset.right[np.isfinite(dataset.right)]
+    truncated = bool(np.any(dataset.truncation > 0))
+    if truncated:
+        right_candidates = np.concatenate([right_candidates, dataset.truncation])
     if right_candidates.size == 0:
         return SupportSet(lower=np.array([]), upper=np.array([]))
-    return _adjacent_pairs(dataset.left, right_candidates, min_left=0.0)
+    return _adjacent_pairs(dataset.left, right_candidates, min_left=0.0 if truncated else None)

@@ -10,7 +10,6 @@ import pytest
 
 from icsel import Dataset
 from icsel.cli import (
-    RunConfig,
     default_threads,
     main,
     read_dataset_csv,
@@ -147,19 +146,23 @@ def test_positive_trunc_without_flag_is_validation_error(tmp_path, capsys):
     assert "--truncation" in capsys.readouterr().err
 
 
-def test_runconfig_require():
-    cfg = RunConfig(command="fit")
-    with pytest.raises(ValidationError, match="fit: missing or invalid --input"):
-        cfg.require(input=False)
-    cfg.require(input=True)
-
-
-def test_threads_env_override(monkeypatch):
+def test_threads_env_override(monkeypatch, tmp_path, capsys):
     monkeypatch.setenv("ICSEL_THREADS", "3")
     assert default_threads() == 3
     monkeypatch.setenv("ICSEL_THREADS", "not-a-number")
     with pytest.raises(ValidationError):
         default_threads()
+    # only simulate without --threads reads the variable
+    data = tmp_path / "data.csv"
+    write_signal_csv(data, seed=5, n=60, p=8)
+    rc = main(["fit", "--input", str(data), "--family", "lasso",
+               "--output-model", str(tmp_path / "m.json"),
+               "--output-path", str(tmp_path / "p.csv")])
+    assert rc == 0
+    rc = main(["simulate", "--n", "40", "--p", "8", "--rho", "0", "--seed", "1",
+               "--output-dir", str(tmp_path / "sim")])
+    assert rc == 3
+    assert "ICSEL_THREADS" in capsys.readouterr().err
     monkeypatch.delenv("ICSEL_THREADS")
     assert default_threads() >= 1
 
@@ -193,6 +196,9 @@ def test_fit_model_json_contents(fit_run):
     base = doc["baseline"]
     assert len(base["lower"]) == len(base["upper"]) == len(base["lambda_original_scale"])
     assert doc["standardization"] is not None
+    assert isinstance(doc["converged"], bool)
+    assert isinstance(doc["degenerate"], bool)
+    assert all(isinstance(c, bool) for c in doc["standardization"]["constant"])
     # strong planted signal at this scale: most of z1..z6 recovered
     hits = sum(1 for k in (f"z{j}" for j in range(1, 7)) if k in doc["selected_covariates"])
     assert hits >= 4
@@ -326,6 +332,9 @@ def test_impute_genotype_mode_deterministic(tmp_path):
                    "--output", str(out), "--seed", "9"])
         assert rc == 0
     assert out1.read_text() == out2.read_text()
+    rc = main(["impute", "--mode", "genotype", "--input", str(src),
+               "--output", str(tmp_path / "fill3.csv")])
+    assert rc == 3
     mat, header = read_matrix_csv(str(out1))
     assert header == ["s1", "s2"]
     assert not np.isnan(mat).any()
@@ -355,7 +364,7 @@ def campaign(tmp_path_factory):
     out = tmp / "run1"
     rc = main(["simulate", "--preset", "t1-small", "--n", "120", "--p", "40",
                "--replicates", "3", "--seed", "11", "--fit", "mcp,lasso",
-               "--emit-data", "--midpoint", "--output-dir", str(out)])
+               "--threads", "2", "--emit-data", "--midpoint", "--output-dir", str(out)])
     assert rc == 0
     return out
 
@@ -402,10 +411,11 @@ def test_campaign_manifest_records_scenario(campaign):
 
 
 def test_campaign_rerun_is_byte_identical(campaign, tmp_path):
+    # the fixture ran on two workers, this rerun on one
     out2 = tmp_path / "run2"
     rc = main(["simulate", "--preset", "t1-small", "--n", "120", "--p", "40",
                "--replicates", "3", "--seed", "11", "--fit", "mcp,lasso",
-               "--emit-data", "--midpoint", "--output-dir", str(out2)])
+               "--threads", "1", "--emit-data", "--midpoint", "--output-dir", str(out2)])
     assert rc == 0
     for name in ("summary.csv", "replicates.csv", "censoring.csv",
                  "estimates_mcp.csv", "estimates_lasso.csv",

@@ -423,9 +423,7 @@ def test_truncated_zero_risk_cell_sets_lambda_zero():
         covariates=np.array([[0.2], [-0.1]]),
         truncation=[1.0, 4.5],
     )
-    from icsel.support import maximal_intersections_truncated
-
-    supp = maximal_intersections_truncated(ds)
+    supp = maximal_intersections(ds)
     ws = EMWorkspace(ds, supp)
     # cell (4.5, 6]-side risk set excludes subject 0 entirely past its window
     cache = estep(ws, np.zeros(1), np.full(ws.m, 0.4))

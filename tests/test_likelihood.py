@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from icsel import Dataset, ModelState, cumulative_hazard, loglik, loglik_truncated
+from icsel import Dataset, ModelState, cumulative_hazard, loglik
 from icsel.likelihood import clamped_linpred, log1mexp
 from icsel.support import SupportSet
 
@@ -40,14 +40,14 @@ def test_truncated_example():
     log(1 - exp(-0.7)) = -0.6863410028083852."""
     ds = Dataset(left=[2.0], right=[4.0], covariates=np.zeros((1, 1)), truncation=[1.0])
     st = state([2.0], [3.0], [0.7])
-    assert loglik_truncated(st, ds) == pytest.approx(-0.6863410028083852, abs=1e-15)
+    assert loglik(st, ds) == pytest.approx(-0.6863410028083852, abs=1e-15)
 
 
 def test_truncation_mass_before_entry_is_removed():
     # jump of 0.3 before V0 = 1 must cancel between A and the entry term
     ds = Dataset(left=[2.0], right=[4.0], covariates=np.zeros((1, 1)), truncation=[1.0])
     st2 = state([0.5, 2.0], [0.8, 3.0], [0.3, 0.7])
-    assert loglik_truncated(st2, ds) == pytest.approx(-0.6863410028083852, abs=1e-14)
+    assert loglik(st2, ds) == pytest.approx(-0.6863410028083852, abs=1e-14)
 
 
 def test_zero_bracket_mass_gives_minus_inf():
@@ -108,7 +108,7 @@ def test_truncated_matches_survival_difference_form():
         ds = Dataset(left=left, right=right, covariates=Z, truncation=trunc)
         st = ModelState(beta=beta, lam=lam, support=SupportSet(lower=lowers, upper=uppers))
         ref = reference_loglik(ds, list(uppers), list(lam), beta)
-        got = loglik_truncated(st, ds)
+        got = loglik(st, ds)
         if math.isinf(ref):
             assert math.isinf(got)
         else:

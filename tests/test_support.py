@@ -3,10 +3,8 @@
 import math
 
 import numpy as np
-import pytest
 
-from icsel import Dataset, maximal_intersections, maximal_intersections_truncated
-from icsel.errors import ValidationError
+from icsel import Dataset, maximal_intersections
 
 from oracles import brute_force_support, brute_force_support_truncated
 
@@ -42,21 +40,15 @@ def test_disjoint_intervals_pass_through():
     assert supp.intervals == [(0.0, 1.0), (5.0, 6.0)]
 
 
-def test_plain_rejects_truncated_input():
-    ds = make([1.0], [2.0], trunc=[0.5])
-    with pytest.raises(ValidationError):
-        maximal_intersections(ds)
-
-
 def test_truncated_worked_example():
     """V0 = 1 with interval (2, 4] keeps the single cell (2, 4]."""
-    supp = maximal_intersections_truncated(make([2.0], [4.0], trunc=[1.0]))
+    supp = maximal_intersections(make([2.0], [4.0], trunc=[1.0]))
     assert supp.intervals == [(2.0, 4.0)]
 
 
 def test_truncation_time_splits_cells():
     # V0 = 3 inside (2, 4] becomes a right-candidate and splits the cell
-    supp = maximal_intersections_truncated(
+    supp = maximal_intersections(
         make([2.0, 3.5], [4.0, 5.0], trunc=[0.0, 3.0])
     )
     assert (2.0, 3.0) in supp.intervals
@@ -64,7 +56,7 @@ def test_truncation_time_splits_cells():
 
 def test_truncated_drops_zero_left_cells():
     # (0, 1] would be a cell without truncation; the l > 0 rule drops it
-    supp = maximal_intersections_truncated(
+    supp = maximal_intersections(
         make([0.0, 2.0], [1.0, 3.0], trunc=[0.0, 1.5])
     )
     assert all(l > 0 for l, _ in supp.intervals)
@@ -95,7 +87,7 @@ def test_truncated_matches_brute_force_on_random_datasets():
     rng = np.random.default_rng(43)
     for _ in range(150):
         left, right, trunc = random_dataset(rng, truncated=True)
-        supp = maximal_intersections_truncated(make(list(left), list(right), list(trunc)))
+        supp = maximal_intersections(make(list(left), list(right), list(trunc)))
         assert supp.intervals == brute_force_support_truncated(left, right, trunc)
 
 
