@@ -33,6 +33,7 @@ from .errors import (
 )
 from .metrics import FitReport, aggregate, hazard_sup_distance, score
 from .path import PathResult, adaptive_lasso_pipeline, run_path
+from .penalties import DEFAULT_ALPHA
 from .simulate import (
     PRESETS,
     ScenarioConfig,
@@ -328,6 +329,8 @@ def _prepare_dataset(args: argparse.Namespace):
 
 def cmd_fit(args: argparse.Namespace) -> int:
     """fit and path; path has no model file (output_model is None)."""
+    if args.alpha is not None and args.family not in DEFAULT_ALPHA:
+        raise ValidationError("--alpha applies only to scad and mcp")
     dataset, names, record, support = _prepare_dataset(args)
     if args.family == "adaptive_lasso":
         result = adaptive_lasso_pipeline(dataset, support)

@@ -20,14 +20,14 @@ iteration costs O(n + m) plus the coordinate pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset
 from .errors import DegenerateSupportError, NumericalError
-from .likelihood import ModelState, clamped_linpred, loglik
-from .penalties import PenaltySpec, penalty_value, univariate_solve
+from .likelihood import ModelState, clamped_linpred
+from .penalties import PenaltySpec, univariate_solve
 from .support import SupportSet
 
 WEIGHT_FLOOR = 1e-8
@@ -110,14 +110,7 @@ class EStepCache:
     g: np.ndarray
     expected_counts: np.ndarray
     jump_numerators: np.ndarray
-    lam: np.ndarray
     clamp_count: int
-
-    def ew_dense(self, ws: EMWorkspace) -> np.ndarray:
-        out = np.zeros((ws.n, ws.m))
-        for i in range(ws.n):
-            out[i, ws.c[i] : ws.d[i]] = self.lam[ws.c[i] : ws.d[i]] * self.g[i]
-        return out
 
 
 @dataclass
@@ -137,8 +130,6 @@ class FitDiagnostics:
     final_reldist: float = math.inf
     clamp_count: int = 0
     zero_risk_sets: int = 0
-    objective_trace: list[float] = field(default_factory=list)
-    monotone_violations: int = 0
 
 
 def estep(ws: EMWorkspace, beta: np.ndarray, lam: np.ndarray) -> EStepCache:
@@ -170,7 +161,6 @@ def estep(ws: EMWorkspace, beta: np.ndarray, lam: np.ndarray) -> EStepCache:
         g=g,
         expected_counts=expected,
         jump_numerators=numer,
-        lam=np.asarray(lam, dtype=float).copy(),
         clamp_count=n_clamped,
     )
 
@@ -255,37 +245,6 @@ def surrogate(ws: EMWorkspace, cache: EStepCache) -> SurrogateQuad:
     return SurrogateQuad(eta=cache.eta, weight=weight, working_response=working, grad=grad)
 
 
-def surrogate_objective(ws: EMWorkspace, cache: EStepCache, eta: np.ndarray) -> float:
-    """Q(eta) itself (E-step expectations frozen); used by derivative checks."""
-    exb = np.exp(np.asarray(eta, dtype=float))
-    S = ws.risk_sums(exb)
-    nk = cache.jump_numerators
-    active = nk > 0
-    return float(cache.expected_counts @ eta - nk[active] @ np.log(S[active]))
-
-
-def expected_complete_loglik(
-    ws: EMWorkspace, cache: EStepCache, beta: np.ndarray, lam: np.ndarray
-) -> float:
-    """Expected complete-data log likelihood (constants dropped).
-
-    sum_ik Ehat(W_ik) log(lambda_k e^{eta_i}) - lambda_k e^{eta_i} over risk
-    cells, with the E-step expectations frozen; the exact maximizer over
-    lambda at fixed beta is the mstep_lambda update.
-    """
-    eta, _ = clamped_linpred(ws.Z, beta)
-    S = ws.risk_sums(np.exp(eta))
-    lam = np.asarray(lam, dtype=float)
-    nk = cache.jump_numerators
-    pos = lam > 0.0
-    if np.any(nk[~pos] > 0):
-        return -math.inf
-    value = float(cache.expected_counts @ eta)
-    value += float(nk[pos] @ np.log(lam[pos]))
-    value -= float(lam @ S)
-    return value
-
-
 def coordinate_descent_pass(
     ws: EMWorkspace, quad: SurrogateQuad, beta: np.ndarray, spec: PenaltySpec
 ) -> np.ndarray:
@@ -322,17 +281,6 @@ def coordinate_descent_pass(
     return new
 
 
-def penalty_total(spec: PenaltySpec, beta: np.ndarray, penalized: np.ndarray) -> float:
-    """sum of p_{theta,alpha}(|beta_j|) over penalized coordinates."""
-    total = 0.0
-    for j in np.flatnonzero(penalized):
-        wj = None if spec.weights is None else float(spec.weights[j])
-        if wj == 0.0 and beta[j] == 0.0:
-            continue
-        total += penalty_value(spec, float(beta[j]), weight=wj)
-    return total
-
-
 def fit_fixed_theta(
     ws: EMWorkspace,
     spec: PenaltySpec,
@@ -340,15 +288,13 @@ def fit_fixed_theta(
     init_lam: np.ndarray | None = None,
     max_iter: int = MAX_EM_ITERATIONS,
     tol: float = EM_RELDIST_TOL,
-    track_objective: bool = True,
 ) -> tuple[ModelState, FitDiagnostics]:
     """Run the EM to convergence at one fixed theta.
 
     Stops when ||new - old||_2 / (||old||_2 + 1) over the stacked (beta,
-    lambda) falls below tol, or after max_iter iterations. The penalized
-    observed-data objective is traced per iteration; one-pass descent on a
-    diagonal surrogate does not guarantee monotone ascent, so decreases are
-    counted rather than asserted.
+    lambda) falls below tol, or after max_iter iterations. The objective is
+    not evaluated; the caller scores the final state. One CD pass on a
+    diagonal surrogate does not guarantee monotone ascent.
     """
     beta = np.zeros(ws.p) if init_beta is None else np.asarray(init_beta, dtype=float).copy()
     lam = (
@@ -371,14 +317,6 @@ def fit_fixed_theta(
         den = math.sqrt(float(np.sum(beta**2)) + float(np.sum(lam**2))) + 1.0
         reldist = num / den
         beta, lam = beta_new, lam_new
-        if track_objective:
-            state = ModelState(beta=beta, lam=lam, support=ws.support)
-            obj = loglik(state, ws.dataset) - ws.n * penalty_total(spec, beta, ws.pen_mask)
-            if diag.objective_trace:
-                prev = diag.objective_trace[-1]
-                if obj < prev - 1e-8 * (1.0 + abs(prev)):
-                    diag.monotone_violations += 1
-            diag.objective_trace.append(obj)
         diag.iterations = iteration
         diag.final_reldist = reldist
         if reldist < tol:

@@ -170,7 +170,7 @@ def run_path(
                 f"theta_max fit returned {nnz} nonzero penalized coefficients"
             )
         states.append(state)
-        lls[r] = loglik(state, ws.dataset)
+        lls[r] = loglik(state, ws.dataset)  # rejects a non-finite state too
         dfs[r] = nnz
         iters[r] = diag.iterations
         conv[r] = diag.converged

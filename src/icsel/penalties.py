@@ -68,23 +68,6 @@ def soft_threshold(x: float, t: float) -> float:
     return 0.0
 
 
-def _scalar_penalty(family: str, theta: float, alpha: float | None, b: float) -> float:
-    a = abs(b)
-    if family == "lasso":
-        return theta * a
-    if family == "scad":
-        if a <= theta:
-            return theta * a
-        if a <= alpha * theta:
-            return (2.0 * alpha * theta * a - a * a - theta * theta) / (2.0 * (alpha - 1.0))
-        return (alpha + 1.0) * theta * theta / 2.0
-    if family == "mcp":
-        if a <= alpha * theta:
-            return theta * a - a * a / (2.0 * alpha)
-        return alpha * theta * theta / 2.0
-    raise ValueError(family)
-
-
 def penalty_value(spec: PenaltySpec, b: float, weight: float | None = None) -> float:
     """p_{theta,alpha}(|b|); adaptive lasso divides theta by the coordinate weight."""
     if not np.isfinite(b):
@@ -95,7 +78,20 @@ def penalty_value(spec: PenaltySpec, b: float, weight: float | None = None) -> f
         if weight == 0.0:
             return 0.0 if b == 0.0 else np.inf
         return spec.theta * abs(b) / weight
-    return _scalar_penalty(spec.family, spec.theta, spec.alpha, b)
+    theta, alpha, a = spec.theta, spec.alpha, abs(b)
+    if spec.family == "lasso":
+        return theta * a
+    if spec.family == "scad":
+        if a <= theta:
+            return theta * a
+        if a <= alpha * theta:
+            return (2.0 * alpha * theta * a - a * a - theta * theta) / (2.0 * (alpha - 1.0))
+        return (alpha + 1.0) * theta * theta / 2.0
+    if spec.family == "mcp":
+        if a <= alpha * theta:
+            return theta * a - a * a / (2.0 * alpha)
+        return alpha * theta * theta / 2.0
+    raise ValueError(spec.family)
 
 
 def penalty_deriv(spec: PenaltySpec, b: float, weight: float | None = None) -> float:
@@ -118,16 +114,12 @@ def penalty_deriv(spec: PenaltySpec, b: float, weight: float | None = None) -> f
     raise ValueError(spec.family)
 
 
-def _objective(family, theta, alpha, y, v, b) -> float:
-    return 0.5 * v * (y / v - b) ** 2 + _scalar_penalty(family, theta, alpha, b)
-
-
-def _best_candidate(family, theta, alpha, y, v, candidates) -> float:
+def _best_candidate(spec: PenaltySpec, y: float, v: float, candidates) -> float:
     """Exact minimization over a finite candidate set; ties pick larger |b|."""
     best_b = 0.0
-    best_m = _objective(family, theta, alpha, y, v, 0.0)
+    best_m = 0.5 * v * (y / v) ** 2 + penalty_value(spec, 0.0)
     for b in candidates:
-        m = _objective(family, theta, alpha, y, v, b)
+        m = 0.5 * v * (y / v - b) ** 2 + penalty_value(spec, b)
         if m < best_m or (m == best_m and abs(b) > abs(best_b)):
             best_b, best_m = b, m
     return best_b
@@ -164,7 +156,7 @@ def univariate_solve(spec: PenaltySpec, y: float, v: float, weight: float | None
         # concave middle segment: global minimum sits at 0, the kink alpha*theta,
         # or the outer stationary point a/v
         cands = [a / v, alpha * theta]
-        return sign * _best_candidate(family, theta, alpha, a, v, cands)
+        return sign * _best_candidate(spec, a, v, cands)
     if family == "scad":
         if v * (alpha - 1.0) > 1.0:
             if a <= theta * (v + 1.0):
@@ -175,7 +167,7 @@ def univariate_solve(spec: PenaltySpec, y: float, v: float, weight: float | None
                 b = a / v
             return sign * b
         cands = [a / v, soft_threshold(a, theta) / v, theta, alpha * theta]
-        return sign * _best_candidate(family, theta, alpha, a, v, cands)
+        return sign * _best_candidate(spec, a, v, cands)
     raise ValueError(family)
 
 

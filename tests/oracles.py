@@ -159,6 +159,63 @@ def reference_loglik(dataset, support_upper, lam, beta):
 
 
 # ---------------------------------------------------------------------------
+# EM reference quantities, with risk and bracket cells taken from the data
+
+
+def em_cells(dataset, upper):
+    """Dense (n, m) indicators of each subject's risk and bracket cells.
+
+    Risk cells are {k : V0_i < u_k <= R*_i}, with R*_i = R_i when finite and
+    L_i when right-censored; bracket cells are {k : L_i < u_k <= R_i} for
+    interval-censored subjects and empty for right-censored ones.
+    """
+    u = np.asarray(upper, dtype=float)[None, :]
+    left = np.asarray(dataset.left, dtype=float)[:, None]
+    right = np.asarray(dataset.right, dtype=float)[:, None]
+    trunc = np.asarray(dataset.truncation, dtype=float)[:, None]
+    finite = np.isfinite(right)
+    rstar = np.where(finite, right, left)
+    risk = (trunc < u) & (u <= rstar)
+    bracket = finite & (left < u) & (u <= right)
+    return risk, bracket
+
+
+def ew_dense(dataset, upper, g, lam):
+    """Ehat(W_ik) = lambda_k g_i on bracket cells, 0 elsewhere."""
+    _, bracket = em_cells(dataset, upper)
+    lam = np.asarray(lam, dtype=float)
+    return np.where(bracket, lam[None, :] * np.asarray(g)[:, None], 0.0)
+
+
+def risk_sums(dataset, upper, eta):
+    """S_k = sum of e^{eta_i} over the subjects with k in their risk set."""
+    risk, _ = em_cells(dataset, upper)
+    return np.exp(np.asarray(eta, dtype=float)) @ risk.astype(float)
+
+
+def surrogate_objective(dataset, upper, cache, eta):
+    """Q(eta) = sum_i E_i eta_i - sum_k N_k log S_k(eta), E-step frozen."""
+    S = risk_sums(dataset, upper, eta)
+    nk = cache.jump_numerators
+    active = nk > 0
+    return float(cache.expected_counts @ eta - nk[active] @ np.log(S[active]))
+
+
+def expected_complete_loglik(dataset, upper, cache, beta, lam):
+    """sum over risk cells of Ehat(W_ik) log(lambda_k e^{eta_i}) - lambda_k e^{eta_i}
+    with the E-step frozen (constants dropped); -inf when a cell with
+    expected events has no jump."""
+    eta = np.asarray(dataset.covariates, dtype=float) @ np.asarray(beta, dtype=float)
+    S = risk_sums(dataset, upper, eta)
+    lam = np.asarray(lam, dtype=float)
+    nk = cache.jump_numerators
+    pos = lam > 0.0
+    if np.any(nk[~pos] > 0):
+        return -math.inf
+    return float(cache.expected_counts @ eta + nk[pos] @ np.log(lam[pos]) - lam @ S)
+
+
+# ---------------------------------------------------------------------------
 # finite differences
 
 

@@ -15,7 +15,7 @@ import pytest
 
 from icsel import Dataset, PenaltySpec, standardize
 from icsel.cli import main, read_dataset_csv
-from icsel.em import EMWorkspace, estep, expected_complete_loglik, mstep_lambda, surrogate, surrogate_objective
+from icsel.em import EMWorkspace, estep, mstep_lambda, surrogate
 from icsel.likelihood import ModelState, loglik
 from icsel.path import run_path, select_index, theta_grid
 from icsel.penalties import univariate_solve
@@ -25,11 +25,14 @@ from icsel.support import maximal_intersections
 from oracles import (
     _penalty_array,
     brute_force_support,
+    ew_dense,
+    expected_complete_loglik,
     fd_gradient,
     fd_second_diag,
     mc_truncated_poisson,
     objective_value,
     reference_loglik,
+    surrogate_objective,
 )
 
 CAMPAIGN_SEED = 20240815
@@ -173,7 +176,7 @@ def test_criterion_1d_surrogate_matches_finite_differences(capsys):
         lam = rng.uniform(0.1, 0.8, size=ws.m)
         cache = estep(ws, beta, lam)
         quad = surrogate(ws, cache)
-        f = lambda e: surrogate_objective(ws, cache, e)
+        f = lambda e: surrogate_objective(ds, supp.upper, cache, e)
         fd_g = fd_gradient(f, cache.eta, 1e-5)
         scale_g = np.maximum(np.abs(quad.grad), 1.0)
         worst_grad = max(worst_grad, float(np.max(np.abs(fd_g - quad.grad) / scale_g)))
@@ -213,7 +216,7 @@ def test_criterion_1e_estep_matches_monte_carlo(capsys):
         ws = EMWorkspace(ds, maximal_intersections(ds))
         assert ws.m == m
         cache = estep(ws, np.array([beta]), lam)
-        got = cache.ew_dense(ws)[m]
+        got = ew_dense(ds, ws.support.upper, cache.g, lam)[m]
         exb = math.exp(beta * z)
         means, ses, kept = mc_truncated_poisson(
             lam, exb, 1_000_000, np.random.default_rng(9000 + cfg)
@@ -248,13 +251,13 @@ def test_criterion_1f_mstep_is_argmax(capsys):
         lam_in = rng.uniform(0.1, 0.8, size=ws.m)
         cache = estep(ws, beta, lam_in)
         lam_hat, _, _ = mstep_lambda(ws, cache, beta)
-        best = expected_complete_loglik(ws, cache, beta, lam_hat)
+        best = expected_complete_loglik(ds, supp.upper, cache, beta, lam_hat)
         for k in range(ws.m):
             for factor in (0.99, 1.01):
                 trial = lam_hat.copy()
                 trial[k] *= factor
                 checks += 1
-                if expected_complete_loglik(ws, cache, beta, trial) >= best:
+                if expected_complete_loglik(ds, supp.upper, cache, beta, trial) >= best:
                     violations += 1
     dt = time.perf_counter() - t0
     ok = violations == 0 and checks > 0 and dt < 5.0

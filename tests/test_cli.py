@@ -107,6 +107,16 @@ def test_validation_error_exit_code(tmp_path, capsys):
                "--output-path", str(tmp_path / "p.csv")])
     assert rc == 3
     assert "left >= right" in capsys.readouterr().err
+    # --alpha shapes only scad and mcp; elsewhere it is rejected, not ignored
+    good = tmp_path / "good.csv"
+    good.write_text("left,right,z1,z2\n0.5,1.0,0.5,1\n0.5,2.0,1.0,0\n1.0,3.0,0.0,1\n")
+    for family, alpha in (("lasso", "3"), ("adaptive-lasso", "0.5")):
+        rc = main(["fit", "--input", str(good), "--family", family, "--alpha", alpha,
+                   "--output-model", str(tmp_path / "m.json"),
+                   "--output-path", str(tmp_path / "p.csv")])
+        assert rc == 3
+        assert "--alpha applies only to scad and mcp" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_degenerate_support_exit_code(tmp_path):
