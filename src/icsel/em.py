@@ -46,7 +46,10 @@ class EMWorkspace:
       c[i] = first support index with u_k > L_i    (bracket start)
       d[i] = first support index with u_k > R_i*   (risk-set / bracket end)
     Risk cells are [a, d), bracket cells [c, d); right-censored subjects have
-    c == d. Since V_i0 <= L_i, brackets always sit inside risk sets.
+    c == d. Since V_i0 <= L_i, brackets always sit inside risk sets. An
+    interval-censored subject with c == d has an empty bracket and is
+    rejected here. `null_fit` holds the family-independent null fit, filled
+    by the first path run on the workspace.
     """
 
     def __init__(self, dataset: Dataset, support: SupportSet):
@@ -63,6 +66,13 @@ class EMWorkspace:
         self.c = np.searchsorted(us, dataset.left, side="right")
         self.d = np.searchsorted(us, rstar, side="right")
         self.ic = np.isfinite(dataset.right)
+        empty = self.ic & (self.c == self.d)
+        if np.any(empty):
+            i = int(np.flatnonzero(empty)[0])
+            raise NumericalError(
+                f"subject {i}: interval ({dataset.left[i]}, {dataset.right[i]}] holds no "
+                "support cell; the truncated support keeps only cells with l > 0"
+            )
         self.truncated = bool(np.any(dataset.truncation > 0))
         if not self.truncated:
             self.a = np.zeros(self.n, dtype=self.a.dtype)
@@ -73,6 +83,7 @@ class EMWorkspace:
             self.pinned = np.zeros(self.p, dtype=bool)
         self.pen_mask = (dataset.penalty_factors != 0) & ~self.pinned
         self._zsq = None
+        self.null_fit = None
 
     @property
     def zsq(self) -> np.ndarray:
@@ -188,11 +199,12 @@ def mstep_lambda(
 def baseline_lambda_fit(
     ws: EMWorkspace, tol: float = 1e-13, max_iter: int = 5000
 ) -> np.ndarray:
-    """Baseline-only jump sizes: the EM fixed point at beta = 0.
+    """Baseline-only jump sizes at beta = 0.
 
-    Iterates the self-consistency update lambda_k = N_k / S_k from the
-    1/n start. With beta pinned at zero the risk sums are constant subject
-    counts, so each sweep is O(n + m).
+    Iterates the self-consistency update lambda_k = N_k / S_k from the 1/n
+    start and returns the iterate after at most max_iter sweeps, or earlier
+    once the relative step falls below tol. With beta pinned at zero the risk
+    sums are constant subject counts, so each sweep is O(n + m).
     """
     risk = ws._range_sums(ws.a, ws.d, np.ones(ws.n))
     zero = risk <= 0.0

@@ -86,16 +86,36 @@ def loglik(state: ModelState, dataset: Dataset) -> float:
     The linear predictor is clamped to +-700 as a safety valve for divergent
     intermediate iterates.
     """
-    _check_finite(state)
-    eta, _ = clamped_linpred(dataset.covariates, state.beta)
-    exb = np.exp(eta)
-    at_left, at_right, at_trunc = (
-        cumulative_hazard(state, t) for t in (dataset.left, dataset.right, dataset.truncation)
+    upper = state.support.upper
+    a, c, d = (
+        np.searchsorted(upper, t, side="right")
+        for t in (dataset.truncation, dataset.left, dataset.right)
     )
-    ic = np.isfinite(dataset.right)
-    A = at_left * exb - at_trunc * exb
+    return _loglik_indexed(state, dataset.covariates, a, c, d, np.isfinite(dataset.right))
+
+
+def _loglik_indexed(
+    state: ModelState,
+    covariates: np.ndarray,
+    a: np.ndarray,
+    c: np.ndarray,
+    d: np.ndarray,
+    ic: np.ndarray,
+) -> float:
+    """loglik with each subject's support indices already known.
+
+    a, c and d index the first u_k past V_i0, L_i and R_i (d is read only
+    where ic, the interval-censored mask), so Lambda at each endpoint is one
+    lookup into the cumulative jump sums.
+    """
+    _check_finite(state)
+    eta, _ = clamped_linpred(covariates, state.beta)
+    exb = np.exp(eta)
+    cum = np.concatenate(([0.0], np.cumsum(state.lam)))
+    at_left = cum[c]
+    A = at_left * exb - cum[a] * exb
     total = -float(np.sum(A))
-    B = (at_right[ic] - at_left[ic]) * exb[ic]
+    B = (cum[d[ic]] - at_left[ic]) * exb[ic]
     if np.any(B <= 0.0):
         return -math.inf
     total += float(np.sum(log1mexp(B)))

@@ -21,7 +21,7 @@ import numpy as np
 from .data import Dataset
 from .em import EMWorkspace, baseline_lambda_fit, estep, fit_fixed_theta, surrogate
 from .errors import NumericalError
-from .likelihood import ModelState, loglik
+from .likelihood import ModelState, _loglik_indexed
 from .penalties import DEFAULT_ALPHA, PenaltySpec, theta_max
 from .support import SupportSet
 
@@ -91,13 +91,20 @@ def null_linearization(
     """Coordinate scores y and curvatures v at the null model.
 
     Without unpenalized covariates the null model is beta = 0 with the
-    baseline-only jump fit (itself run from the 1/n start); anchoring
-    theta_max at the converged baseline makes the theta_1 coordinate pass see
-    the same y values bitwise, so every penalized coordinate thresholds to
-    exactly zero there. With unpenalized covariates the null model instead
-    fits those coordinates freely while the penalized ones stay pinned at
-    zero, and the scores are taken at that restricted solution.
+    baseline-only jump fit: the iterate after at most 5000 self-consistency
+    sweeps from the 1/n start. Anchoring theta_max at that baseline makes the
+    theta_1 coordinate pass see the same y values bitwise, so every penalized
+    coordinate thresholds to exactly zero there. With unpenalized covariates
+    the null model instead fits those coordinates freely while the penalized
+    ones stay pinned at zero, and the scores are taken at that restricted
+    solution.
+
+    The null fit does not depend on the family, so it is computed on the
+    first call for a workspace and kept, read-only, as `ws.null_fit`; later
+    calls return the same arrays.
     """
+    if ws.null_fit is not None:
+        return ws.null_fit
     free_unpenalized = ~ws.pen_mask & ~ws.pinned
     if np.any(free_unpenalized):
         spec = PenaltySpec(family="lasso", theta=_RESTRICTED_THETA)
@@ -111,7 +118,10 @@ def null_linearization(
     resid = quad.working_response - ws.Z @ beta0
     y = (quad.weight * resid) @ ws.Z / ws.n
     v = ws.col_curvature(quad.weight)
-    return y, v, lam0, beta0
+    ws.null_fit = (y, v, lam0, beta0)
+    for arr in ws.null_fit:
+        arr.setflags(write=False)
+    return ws.null_fit
 
 
 def select_index(
@@ -170,7 +180,8 @@ def run_path(
                 f"theta_max fit returned {nnz} nonzero penalized coefficients"
             )
         states.append(state)
-        lls[r] = loglik(state, ws.dataset)  # rejects a non-finite state too
+        # rejects a non-finite state too
+        lls[r] = _loglik_indexed(state, ws.Z, ws.a, ws.c, ws.d, ws.ic)
         dfs[r] = nnz
         iters[r] = diag.iterations
         conv[r] = diag.converged

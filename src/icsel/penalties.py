@@ -182,7 +182,7 @@ def theta_max(
     """Smallest theta at which every penalized coordinate solves to 0.
 
     y and v are the coordinate-descent linearization at the null model
-    (beta = 0, lambda = 1/n each). lasso: max |y_j|; adaptive lasso:
+    (see path.null_linearization). lasso: max |y_j|; adaptive lasso:
     max |y_j| * |beta_tilde_j|; SCAD: max(|y_j|, |y_j|/v_j); MCP:
     max(|y_j|, |y_j|/(v_j alpha)).
     """

@@ -130,8 +130,8 @@ def test_degenerate_support_exit_code(tmp_path):
 
 
 def test_numerical_error_exit_code(tmp_path, capsys):
-    # the second cluster enters only after its own support cell, so the first
-    # cell's risk set empties and the bracket probability underflows
+    # the truncated support keeps only cells with l > 0, so subject 0's
+    # (0, 2] holds no support cell and is rejected before fitting
     f = tmp_path / "orphan.csv"
     f.write_text("left,right,trunc,z1,z2\n"
                  "0.0,2.0,0.0,1.0,0.0\n"

@@ -105,6 +105,21 @@ def test_estep_underflow_raises_with_subject_index():
         estep(ws, np.zeros(1), np.array([0.0, 0.5]))
 
 
+def test_empty_truncated_bracket_rejected_at_workspace():
+    """The truncated support {1, 2, 2.5, 4} keeps only cells with l > 0, so
+    subject 0's (0, 0.4] holds no cell."""
+    ds = Dataset(
+        left=[0.0, 1.0, 2.0, 1.5, 0.5, 3.0],
+        right=[0.4, 2.0, 3.0, math.inf, 2.5, 4.0],
+        covariates=np.zeros((6, 1)),
+        truncation=[0.0, 0.5, 1.0, 0.2, 0.1, 0.0],
+    )
+    supp = maximal_intersections(ds)
+    assert list(supp.upper) == [1.0, 2.0, 2.5, 4.0]
+    with pytest.raises(NumericalError, match=r"subject 0: interval \(0\.0, 0\.4\].*l > 0"):
+        EMWorkspace(ds, supp)
+
+
 # ---------------------------------------------------------------------------
 # M-step
 

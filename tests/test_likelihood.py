@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from icsel import Dataset, ModelState, cumulative_hazard, loglik
-from icsel.likelihood import clamped_linpred, log1mexp
-from icsel.support import SupportSet
+from icsel.em import EMWorkspace
+from icsel.likelihood import _loglik_indexed, clamped_linpred, log1mexp
+from icsel.support import SupportSet, maximal_intersections
 
 from oracles import reference_loglik
 
@@ -151,3 +152,67 @@ def test_nonfinite_state_rejected():
     st = state([1.0], [2.0], [math.nan])
     with pytest.raises(ValueError):
         loglik(st, ds)
+
+
+# ---------------------------------------------------------------------------
+# scoring from a workspace's support indices
+
+
+def snp_intervals(rng, n, p, truncated):
+    """SNP covariates, six visits on a 0.001 grid, no subject with left = 0;
+    with truncation about half the subjects enter late."""
+    Z = rng.binomial(2, rng.uniform(0.05, 0.20, size=p), size=(2 * n, p)).astype(float)
+    T = rng.exponential(size=2 * n) * np.exp(-(Z[:, 0] - Z[:, 1]))
+    V = np.round(np.cumsum(rng.uniform(0.1, 0.5, size=(2 * n, 6)), axis=1), 3)
+    keep = np.flatnonzero(T > V[:, 0])[:n]
+    Z, T, V = Z[keep], T[keep], V[keep]
+    idx = (V < T[:, None]).sum(axis=1)
+    rows = np.arange(n)
+    left = V[rows, idx - 1]
+    right = np.where(idx == 6, math.inf, V[rows, np.minimum(idx, 5)])
+    trunc = None
+    if truncated:
+        entry = np.floor(rng.random(n) * left * 1000.0) / 1000.0
+        trunc = np.where(rng.random(n) < 0.5, entry, 0.0)
+    return Dataset(left=left, right=right, covariates=Z, truncation=trunc)
+
+
+def indexed(state, ws):
+    return _loglik_indexed(state, ws.Z, ws.a, ws.c, ws.d, ws.ic)
+
+
+@pytest.mark.parametrize("truncated", [False, True])
+def test_indexed_loglik_equals_loglik(truncated):
+    rng = np.random.default_rng(31)
+    ds = snp_intervals(rng, 200, 5, truncated)
+    ws = EMWorkspace(ds, maximal_intersections(ds))
+    assert ws.truncated == truncated
+    for _ in range(3):
+        st = ModelState(beta=rng.normal(scale=0.5, size=5),
+                        lam=rng.uniform(0.0, 0.2, size=ws.m), support=ws.support)
+        assert indexed(st, ws) == loglik(st, ds)
+
+
+def test_indexed_loglik_zero_bracket_mass_is_minus_inf():
+    rng = np.random.default_rng(32)
+    ds = snp_intervals(rng, 100, 3, True)
+    ws = EMWorkspace(ds, maximal_intersections(ds))
+    lam = np.full(ws.m, 0.1)
+    i = int(np.flatnonzero(ws.ic)[0])
+    lam[ws.c[i]:ws.d[i]] = 0.0
+    st = ModelState(beta=np.zeros(3), lam=lam, support=ws.support)
+    assert loglik(st, ds) == -math.inf
+    assert indexed(st, ws) == -math.inf
+
+
+def test_indexed_loglik_rejects_nonfinite_state():
+    rng = np.random.default_rng(33)
+    ds = snp_intervals(rng, 50, 2, False)
+    ws = EMWorkspace(ds, maximal_intersections(ds))
+    st = ModelState(beta=np.array([0.1, math.inf]), lam=np.full(ws.m, 0.1),
+                    support=ws.support)
+    with pytest.raises(ValueError, match="non-finite") as want:
+        loglik(st, ds)
+    with pytest.raises(ValueError, match="non-finite") as got:
+        indexed(st, ws)
+    assert str(got.value) == str(want.value)

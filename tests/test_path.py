@@ -5,15 +5,20 @@ import math
 import numpy as np
 import pytest
 
+import icsel.path
 from icsel import Dataset, standardize
+from icsel.em import EMWorkspace
 from icsel.path import (
     adaptive_lasso_pipeline,
     gic,
+    null_linearization,
     run_path,
     select_index,
     theta_grid,
 )
 from icsel.support import maximal_intersections
+
+from test_golden import criterion2_dataset
 
 
 def strong_signal_dataset(seed, n=300, p=100):
@@ -300,3 +305,80 @@ def test_adaptive_rerun_bit_identical():
     assert a.selected == b.selected
     assert np.array_equal(a.states[a.selected].beta, b.states[b.selected].beta)
     assert np.array_equal(a.weights, b.weights)
+
+
+# ---------------------------------------------------------------------------
+# null fit shared across the families of one workspace
+
+
+def criterion2_workspace(unpenalized=False):
+    ds = criterion2_dataset()
+    if unpenalized:
+        factors = np.ones(ds.p)
+        factors[0] = 0.0
+        ds = Dataset(left=ds.left, right=ds.right, covariates=ds.covariates,
+                     penalty_factors=factors)
+    std, _ = standardize(ds)
+    supp = maximal_intersections(std)
+    ws = EMWorkspace(std, supp)
+    assert ws.pen_mask[0] == (not unpenalized)
+    return std, supp, ws
+
+
+def all_families(std, supp, ws):
+    lasso = run_path(std, supp, "lasso", workspace=ws)
+    return {
+        "lasso": lasso,
+        "adaptive_lasso": adaptive_lasso_pipeline(std, supp, workspace=ws, lasso_path=lasso),
+        "scad": run_path(std, supp, "scad", workspace=ws),
+        "mcp": run_path(std, supp, "mcp", workspace=ws),
+    }
+
+
+def test_one_baseline_fit_per_workspace(monkeypatch):
+    calls = []
+    fit = icsel.path.baseline_lambda_fit
+
+    def counted(ws):
+        calls.append(ws)
+        return fit(ws)
+
+    monkeypatch.setattr(icsel.path, "baseline_lambda_fit", counted)
+    std, supp, ws = criterion2_workspace()
+    all_families(std, supp, ws)
+    assert len(calls) == 1 and calls[0] is ws
+
+
+@pytest.mark.parametrize("unpenalized", [False, True])
+def test_shared_workspace_matches_fresh_workspaces(unpenalized):
+    std, supp, ws = criterion2_workspace(unpenalized)
+    shared = all_families(std, supp, ws)
+    fresh = {
+        "lasso": run_path(std, supp, "lasso"),
+        "adaptive_lasso": adaptive_lasso_pipeline(std, supp),
+        "scad": run_path(std, supp, "scad"),
+        "mcp": run_path(std, supp, "mcp"),
+    }
+    for family, a in shared.items():
+        b = fresh[family]
+        for name in ("thetas", "loglik", "df", "gic", "iterations", "converged"):
+            assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True), (
+                family, name)
+        assert a.selected == b.selected, family
+        assert len(a.states) == len(b.states), family
+        for sa, sb in zip(a.states, b.states):
+            assert np.array_equal(sa.beta, sb.beta), family
+            assert np.array_equal(sa.lam, sb.lam), family
+    if unpenalized:
+        assert shared["lasso"].states[0].beta[0] != 0.0
+
+
+def test_null_fit_arrays_are_readonly():
+    std, supp, ws = criterion2_workspace()
+    assert ws.null_fit is None
+    first = null_linearization(ws)
+    assert null_linearization(ws) is first
+    for arr in first:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
