@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
+import functools
+import itertools
 import json
 import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +33,7 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .metrics import FitReport, aggregate, hazard_sup_distance, score
+from .metrics import aggregate, hazard_sup_distance, score
 from .path import PathResult, adaptive_lasso_pipeline, run_path
 from .penalties import DEFAULT_ALPHA
 from .simulate import (
@@ -45,8 +47,8 @@ from .simulate import (
 )
 from .support import maximal_intersections
 
-THREADS_ENV = "ICSEL_THREADS"
 FAMILY_CHOICES = ("lasso", "adaptive_lasso", "scad", "mcp")
+_MISSING = ("", "na", "nan")
 
 
 def _fmt(x) -> str:
@@ -56,166 +58,141 @@ def _fmt(x) -> str:
     return format(x, ".17g")
 
 
-def default_threads() -> int:
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValidationError(f"{THREADS_ENV} must be an integer, got {env!r}")
-    return os.cpu_count() or 1
-
-
 # ---------------------------------------------------------------------------
 # serialization
+
+
+def write_table(path, header: list[str] | None, rows) -> None:
+    """Headered CSV; str cells are written verbatim, numbers through _fmt.
+
+    Integers below 2**53 come out with the same digits as str(int), so index,
+    count and 0/1 flag columns may travel in float arrays.
+    """
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        if header is not None:
+            writer.writerow(header)
+        writer.writerows([c if isinstance(c, str) else _fmt(c) for c in row] for row in rows)
+
+
+def _csv_rows(path: Path):
+    """Yield (1-based line number, cells) for every non-blank line of a CSV file."""
+    try:
+        fh = open(path, newline="")
+    except OSError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+    with fh:
+        reader = csv.reader(fh)
+        for row in reader:
+            if len(row) > 1 or (row and row[0].strip()):
+                yield reader.line_num, row
+
+
+def _floats(path: Path, lineno: int, row: list[str]) -> list[float]:
+    """One row as floats; missing cells (empty, na, nan) become NaN."""
+    try:
+        return [float(c) for c in row]
+    except ValueError:
+        pass
+    try:
+        return [math.nan if c.strip().lower() in _MISSING else float(c) for c in row]
+    except ValueError as exc:
+        raise ParseError(f"{path}:{lineno}: {exc}") from exc
+
+
+def _read_numeric(path: Path, rows, width: int, allow_missing: bool = False) -> np.ndarray:
+    """The (line number, cells) rows as an (n, width) float array.
+
+    Malformed cells are reported before missing ones; missing cells are a
+    parse error unless allow_missing, when they stay NaN.
+    """
+    linenos, values = [], []
+    for lineno, row in rows:
+        if len(row) != width:
+            raise ParseError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
+        linenos.append(lineno)
+        values.append(_floats(path, lineno, row))
+    if not values:
+        raise ParseError(f"{path}: no data rows")
+    table = np.array(values)
+    if not allow_missing:
+        missing = np.isnan(table).any(axis=1)
+        if missing.any():
+            raise ParseError(f"{path}:{linenos[int(np.argmax(missing))]}: missing value")
+    return table
 
 
 def read_dataset_csv(path) -> tuple[Dataset, list[str]]:
     """Parse a dataset CSV; raises ParseError with a 1-based line number."""
     path = Path(path)
-    try:
-        lines = path.read_text().splitlines()
-    except OSError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    reader = csv.reader(lines)
-    try:
-        header = next(reader)
-    except StopIteration:
+    rows = _csv_rows(path)
+    lineno, header = next(rows, (None, None))
+    if header is None:
         raise ParseError(f"{path}: empty file")
     header = [h.strip() for h in header]
     if len(header) < 3 or header[0] != "left" or header[1] != "right":
         raise ParseError(
-            f"{path}:1: header must start with left,right and have at least one covariate"
+            f"{path}:{lineno}: header must start with left,right and have at least one covariate"
         )
-    has_trunc = len(header) > 2 and header[2] == "trunc"
+    has_trunc = header[2] == "trunc"
     first_cov = 3 if has_trunc else 2
     names = header[first_cov:]
     if not names:
-        raise ParseError(f"{path}:1: no covariate columns found")
-    left, right, trunc, rows = [], [], [], []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise ParseError(
-                f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
-            )
-        try:
-            values = [float(v) for v in row]
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from exc
-        left.append(values[0])
-        right.append(values[1])
-        trunc.append(values[2] if has_trunc else 0.0)
-        rows.append(values[first_cov:])
-    if not rows:
-        raise ParseError(f"{path}: no data rows")
-    return Dataset(left=left, right=right, covariates=np.array(rows), truncation=trunc), names
+        raise ParseError(f"{path}:{lineno}: no covariate columns found")
+    table = _read_numeric(path, rows, len(header))
+    dataset = Dataset(
+        left=table[:, 0],
+        right=table[:, 1],
+        covariates=table[:, first_cov:],
+        truncation=table[:, 2] if has_trunc else None,
+    )
+    return dataset, names
+
+
+def read_matrix_csv(path, allow_nan: bool = False) -> tuple[np.ndarray, list[str] | None]:
+    """Numeric matrix CSV; a first row with a non-numeric cell is a header."""
+    path = Path(path)
+    rows = _csv_rows(path)
+    lineno, first = next(rows, (None, None))
+    if first is None:
+        raise ParseError(f"{path}: empty file")
+    try:
+        _floats(path, lineno, first)
+    except ParseError:
+        header = [c.strip() for c in first]
+    else:
+        header, rows = None, itertools.chain([(lineno, first)], rows)
+    return _read_numeric(path, rows, len(first), allow_missing=allow_nan), header
 
 
 def write_dataset_csv(path, dataset: Dataset, names: list[str] | None = None) -> None:
     names = names or [f"z{j + 1}" for j in range(dataset.p)]
     has_trunc = bool(np.any(dataset.truncation > 0))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        head = ["left", "right"] + (["trunc"] if has_trunc else []) + list(names)
-        writer.writerow(head)
-        for i in range(dataset.n):
-            row = [_fmt(dataset.left[i]), _fmt(dataset.right[i])]
-            if has_trunc:
-                row.append(_fmt(dataset.truncation[i]))
-            row.extend(_fmt(v) for v in dataset.covariates[i])
-            writer.writerow(row)
+    head = ["left", "right"] + (["trunc"] if has_trunc else []) + list(names)
+    cols = [dataset.left, dataset.right] + ([dataset.truncation] if has_trunc else [])
+    write_table(path, head, np.column_stack(cols + [dataset.covariates]))
 
 
 def write_midpoint_csv(path, dataset: Dataset, names: list[str] | None = None) -> None:
     """Midpoint-imputed (time, event) export for right-censored-data fitters."""
     names = names or [f"z{j + 1}" for j in range(dataset.p)]
     time, event = midpoint_impute(dataset)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", "event"] + list(names))
-        for i in range(dataset.n):
-            writer.writerow(
-                [_fmt(time[i]), str(int(event[i]))]
-                + [_fmt(v) for v in dataset.covariates[i]]
-            )
-
-
-def read_matrix_csv(path, allow_nan: bool = False) -> tuple[np.ndarray, list[str] | None]:
-    """Numeric matrix CSV; a non-numeric first row is treated as a header."""
-    path = Path(path)
-    try:
-        lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
-    except OSError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    if not lines:
-        raise ParseError(f"{path}: empty file")
-    rows = list(csv.reader(lines))
-    header = None
-
-    def parse_cell(cell, lineno):
-        cell = cell.strip()
-        if cell == "" or cell.lower() in ("na", "nan"):
-            if allow_nan:
-                return math.nan
-            raise ParseError(f"{path}:{lineno}: missing value")
-        try:
-            return float(cell)
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from exc
-
-    try:
-        first = [parse_cell(c, 1) for c in rows[0]]
-        data_rows = rows
-        start = 1
-    except ParseError:
-        header = [c.strip() for c in rows[0]]
-        data_rows = rows[1:]
-        start = 2
-        if not data_rows:
-            raise ParseError(f"{path}: no data rows")
-        first = None
-    width = len(rows[0])
-    out = []
-    for lineno, row in enumerate(data_rows, start=start):
-        if len(row) != width:
-            raise ParseError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
-        out.append([parse_cell(c, lineno) for c in row])
-    if first is not None:
-        out[0] = first
-    return np.array(out, dtype=float), header
+    write_table(path, ["time", "event"] + list(names),
+                np.column_stack([time, event, dataset.covariates]))
 
 
 def write_matrix_csv(path, matrix: np.ndarray, header: list[str] | None = None) -> None:
-    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        if header is not None:
-            writer.writerow(header)
-        for row in matrix:
-            writer.writerow([_fmt(v) for v in row])
+    write_table(path, header, np.atleast_2d(np.asarray(matrix, dtype=float)))
 
 
 def write_path_csv(path, result: PathResult) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["index", "theta", "df", "loglik", "gic", "iterations", "converged", "selected"]
-        )
-        for r in range(len(result.thetas)):
-            writer.writerow(
-                [
-                    r + 1,
-                    _fmt(result.thetas[r]),
-                    int(result.df[r]),
-                    _fmt(result.loglik[r]),
-                    _fmt(result.gic[r]),
-                    int(result.iterations[r]),
-                    int(bool(result.converged[r])),
-                    int(r == result.selected),
-                ]
-            )
+    r = np.arange(len(result.thetas))
+    write_table(
+        path,
+        ["index", "theta", "df", "loglik", "gic", "iterations", "converged", "selected"],
+        np.column_stack([r + 1, result.thetas, result.df, result.loglik, result.gic,
+                         result.iterations, result.converged, r == result.selected]),
+    )
 
 
 def _json_default(obj):
@@ -235,16 +212,14 @@ def model_json(
     state = result.selected_state
     beta_std = state.beta
     if record is not None:
-        beta_orig = record.destandardize_beta(beta_std)
-        lam_orig = state.lam * record.baseline_factor(beta_std)
+        beta_orig, lam_orig = record.to_original_scale(beta_std, state.lam)
         std_block = {
             "center": record.center,
             "scale": record.scale,
             "constant": record.constant,
         }
     else:
-        beta_orig = beta_std
-        lam_orig = state.lam
+        beta_orig, lam_orig = beta_std, state.lam
         std_block = None
     nonzero = {names[j]: float(beta_orig[j]) for j in np.flatnonzero(beta_orig)}
     sel = result.selected
@@ -319,12 +294,7 @@ def _prepare_dataset(args: argparse.Namespace):
     record = None
     if args.standardize:
         dataset, record = standardize(dataset)
-    support = maximal_intersections(dataset)
-    if support.m == 0:
-        raise DegenerateSupportError(
-            "no maximal intersection with a finite right endpoint exists"
-        )
-    return dataset, names, record, support
+    return dataset, names, record, maximal_intersections(dataset)
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
@@ -352,19 +322,11 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         )
     reports = [score(row, truth, tol=args.tol) for row in est]
     agg = aggregate(reports)
-    with open(args.output, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", "l1_error", "l2_error", "fp", "fn"])
-        for i, rep in enumerate(reports):
-            writer.writerow(
-                [i + 1, _fmt(rep.l1_error), _fmt(rep.l2_error), rep.fp, rep.fn]
-            )
-        writer.writerow(
-            ["mean"] + [_fmt(agg.means[k]) for k in ("l1_error", "l2_error", "fp", "fn")]
-        )
-        writer.writerow(
-            ["se"] + [_fmt(agg.ses[k]) for k in ("l1_error", "l2_error", "fp", "fn")]
-        )
+    keys = ("l1_error", "l2_error", "fp", "fn")
+    rows = [[i + 1] + [getattr(rep, k) for k in keys] for i, rep in enumerate(reports)]
+    rows.append(["mean"] + [agg.means[k] for k in keys])
+    rows.append(["se"] + [agg.ses[k] for k in keys])
+    write_table(args.output, ["row", *keys], rows)
     return 0
 
 
@@ -406,23 +368,19 @@ def _scenario_from_args(args: argparse.Namespace) -> ScenarioConfig:
     return ScenarioConfig(**overrides)
 
 
-def _replicate_worker(payload):
-    (scenario, seed_seq, rep_index, families, do_standardize, output_dir,
-     emit_data, emit_midpoint) = payload
+def _replicate_worker(rep_index, seed_seq, *, scenario, families, do_standardize,
+                      output_dir, emit_data, emit_midpoint):
     dataset_raw, beta_true, _ = make_replicate(scenario, seed_seq)
     names = [f"z{j + 1}" for j in range(dataset_raw.p)]
-    if output_dir is not None:
-        tag = f"rep{rep_index:04d}"
-        if emit_data:
-            write_dataset_csv(Path(output_dir) / f"data_{tag}.csv", dataset_raw, names)
-        if emit_midpoint:
-            write_midpoint_csv(Path(output_dir) / f"midpoint_{tag}.csv", dataset_raw, names)
-    rc_rate = float(np.mean(~np.isfinite(dataset_raw.right)))
-    lc_rate = float(np.mean(dataset_raw.left == 0))
+    tag = f"rep{rep_index:04d}"
+    if emit_data:
+        write_dataset_csv(output_dir / f"data_{tag}.csv", dataset_raw, names)
+    if emit_midpoint:
+        write_midpoint_csv(output_dir / f"midpoint_{tag}.csv", dataset_raw, names)
     out = {
         "replicate": rep_index,
-        "rc_rate": rc_rate,
-        "lc_rate": lc_rate,
+        "rc_rate": float(np.mean(~np.isfinite(dataset_raw.right))),
+        "lc_rate": float(np.mean(dataset_raw.left == 0)),
         "families": {},
     }
     if not families:
@@ -445,13 +403,11 @@ def _replicate_worker(payload):
             res = run_path(dataset, support, fam, workspace=ws)
         state = res.selected_state
         if record is not None:
-            beta_raw = record.destandardize_beta(state.beta)
-            lam_raw = state.lam * record.baseline_factor(state.beta)
+            beta_raw, lam_raw = record.to_original_scale(state.beta, state.lam)
         else:
             beta_raw, lam_raw = state.beta, state.lam
-        report = score(beta_raw, beta_true)
         out["families"][fam] = {
-            "report": report,
+            "report": score(beta_raw, beta_true),
             "hazard_sup": hazard_sup_distance(
                 support, lam_raw, scenario.weibull_eta, scenario.weibull_kappa
             ),
@@ -459,29 +415,20 @@ def _replicate_worker(payload):
             "selected_index": res.selected + 1,
             "df": int(res.df[res.selected]),
             "converged_points": int(np.count_nonzero(res.converged)),
-            "warnings": list(res.warnings),
         }
     return out
-
-
-@dataclass
-class CampaignResult:
-    scenario: ScenarioConfig
-    families: list[str]
-    replicate_results: list[dict]
-    aggregates: dict[str, "object"]
 
 
 def run_campaign(
     scenario: ScenarioConfig,
     families: list[str],
-    output_dir=None,
+    output_dir,
     threads: int = 1,
     do_standardize: bool = True,
     emit_data: bool = False,
     emit_midpoint: bool = False,
-) -> CampaignResult:
-    """Generate, fit and score every replicate; optionally write the file set.
+) -> None:
+    """Generate, fit and score every replicate and write the campaign file set.
 
     Replicates are independent: each gets its own spawned seed substream, so
     results do not depend on the worker count.
@@ -489,79 +436,52 @@ def run_campaign(
     for fam in families:
         if fam not in FAMILY_CHOICES:
             raise ValidationError(f"unknown family {fam!r}")
-    if output_dir is not None:
-        output_dir = Path(output_dir)
-        output_dir.mkdir(parents=True, exist_ok=True)
-    seeds = replicate_seeds(scenario)
-    payloads = [
-        (scenario, seeds[r], r, list(families), do_standardize,
-         None if output_dir is None else str(output_dir), emit_data, emit_midpoint)
-        for r in range(scenario.replicates)
-    ]
-    if threads > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_replicate_worker, payloads))
-    else:
-        results = [_replicate_worker(pl) for pl in payloads]
-    aggregates = {}
-    for fam in families:
-        reports = [res["families"][fam]["report"] for res in results]
-        aggregates[fam] = aggregate(reports)
-    if output_dir is not None:
-        _write_campaign_files(output_dir, scenario, families, results, aggregates)
-    return CampaignResult(
-        scenario=scenario,
-        families=list(families),
-        replicate_results=results,
-        aggregates=aggregates,
+    output_dir = Path(output_dir)
+    output_dir.mkdir(parents=True, exist_ok=True)
+    work = functools.partial(
+        _replicate_worker, scenario=scenario, families=list(families),
+        do_standardize=do_standardize, output_dir=output_dir,
+        emit_data=emit_data, emit_midpoint=emit_midpoint,
     )
+    seeds = replicate_seeds(scenario)
+    if threads > 1 and len(seeds) > 1:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(work, range(len(seeds)), seeds))
+    else:
+        results = list(map(work, range(len(seeds)), seeds))
+    aggregates = {fam: aggregate([res["families"][fam]["report"] for res in results])
+                  for fam in families}
+    _write_campaign_files(output_dir, scenario, families, results, aggregates)
 
 
 def _write_campaign_files(output_dir, scenario, families, results, aggregates):
-    sup_means = {}
-    for fam in families:
-        sups = np.array([res["families"][fam]["hazard_sup"] for res in results])
-        sup_means[fam] = (float(sups.mean()), float(np.median(sups)))
-    with open(output_dir / "summary.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["family", "l1_mean", "l1_se", "l2_mean", "l2_se",
-             "fp_mean", "fp_se", "fn_mean", "fn_se", "hazard_sup_mean"]
-        )
+    keys = ("l1_error", "l2_error", "fp", "fn")
+    write_table(
+        output_dir / "summary.csv",
+        ["family", "l1_mean", "l1_se", "l2_mean", "l2_se",
+         "fp_mean", "fp_se", "fn_mean", "fn_se", "hazard_sup_mean"],
+        [[fam]
+         + [v for k in keys for v in (aggregates[fam].means[k], aggregates[fam].ses[k])]
+         + [np.mean([res["families"][fam]["hazard_sup"] for res in results])]
+         for fam in families],
+    )
+    fields = ("hazard_sup", "selected_theta", "selected_index", "df", "converged_points")
+    rows = []
+    for res in results:
         for fam in families:
-            agg = aggregates[fam]
-            writer.writerow(
-                [fam]
-                + [_fmt(agg.means["l1_error"]), _fmt(agg.ses["l1_error"])]
-                + [_fmt(agg.means["l2_error"]), _fmt(agg.ses["l2_error"])]
-                + [_fmt(agg.means["fp"]), _fmt(agg.ses["fp"])]
-                + [_fmt(agg.means["fn"]), _fmt(agg.ses["fn"])]
-                + [_fmt(sup_means[fam][0])]
-            )
-    with open(output_dir / "replicates.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["replicate", "family", "l1_error", "l2_error", "fp", "fn",
-             "hazard_sup", "selected_theta", "selected_index", "df",
-             "converged_points", "rc_rate"]
-        )
-        for res in results:
-            for fam in families:
-                info = res["families"][fam]
-                rep: FitReport = info["report"]
-                writer.writerow(
-                    [res["replicate"] + 1, fam, _fmt(rep.l1_error), _fmt(rep.l2_error),
-                     rep.fp, rep.fn, _fmt(info["hazard_sup"]),
-                     _fmt(info["selected_theta"]), info["selected_index"], info["df"],
-                     info["converged_points"], _fmt(res["rc_rate"])]
-                )
-    with open(output_dir / "censoring.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["replicate", "right_censored_rate", "left_censored_rate"])
-        for res in results:
-            writer.writerow(
-                [res["replicate"] + 1, _fmt(res["rc_rate"]), _fmt(res["lc_rate"])]
-            )
+            info = res["families"][fam]
+            rows.append([res["replicate"] + 1, fam] + [getattr(info["report"], k) for k in keys]
+                        + [info[k] for k in fields] + [res["rc_rate"]])
+    write_table(
+        output_dir / "replicates.csv",
+        ["replicate", "family", "l1_error", "l2_error", "fp", "fn", *fields, "rc_rate"],
+        rows,
+    )
+    write_table(
+        output_dir / "censoring.csv",
+        ["replicate", "right_censored_rate", "left_censored_rate"],
+        [[res["replicate"] + 1, res["rc_rate"], res["lc_rate"]] for res in results],
+    )
     true_idx = np.flatnonzero(scenario.beta_true())
     coef_names = [f"z{j + 1}" for j in true_idx]
     for fam in families:
@@ -569,29 +489,18 @@ def _write_campaign_files(output_dir, scenario, families, results, aggregates):
             [res["families"][fam]["report"].beta_hat_on_true_support for res in results]
         )
         write_matrix_csv(output_dir / f"estimates_{fam}.csv", mat, header=coef_names)
-    manifest = {
-        "scenario": {
-            "n": scenario.n, "p": scenario.p, "rho": scenario.rho,
-            "beta": scenario.beta, "replicates": scenario.replicates,
-            "seed": scenario.seed, "weibull_eta": scenario.weibull_eta,
-            "weibull_kappa": scenario.weibull_kappa,
-            "maf_low": scenario.maf_low, "maf_high": scenario.maf_high,
-            "num_inspections": scenario.num_inspections,
-        },
-        "families": list(families),
-    }
     with open(output_dir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=1)
+        json.dump({"scenario": dataclasses.asdict(scenario), "families": list(families)},
+                  fh, indent=1)
         fh.write("\n")
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    scenario = _scenario_from_args(args)
     run_campaign(
-        scenario,
+        _scenario_from_args(args),
         [f.replace("-", "_") for f in args.fit.split(",") if f.strip()],
         output_dir=args.output_dir,
-        threads=args.threads if args.threads is not None else default_threads(),
+        threads=args.threads,
         do_standardize=args.standardize,
         emit_data=args.emit_data,
         emit_midpoint=args.emit_midpoint,
@@ -650,7 +559,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--midpoint", dest="emit_midpoint", action="store_true",
                      help="write midpoint-imputed exports per replicate")
     sim.add_argument("--no-standardize", dest="standardize", action="store_false")
-    sim.add_argument("--threads", type=int, default=None)
+    sim.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+                     help="worker processes across replicates (default: CPU count)")
 
     met = subs.add_parser("metrics", help="score an estimates matrix against a truth row")
     met.add_argument("--estimates", required=True)

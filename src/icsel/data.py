@@ -59,6 +59,10 @@ class StandardizationRecord:
         """
         return float(np.exp(-np.sum(np.asarray(beta, dtype=float) * self.center / self.scale)))
 
+    def to_original_scale(self, beta, lam) -> tuple[np.ndarray, np.ndarray]:
+        """(coefficients, baseline jump sizes) of a standardized fit on the original scale."""
+        return self.destandardize_beta(beta), lam * self.baseline_factor(beta)
+
 
 class Dataset:
     """Immutable bundle of censoring intervals, covariates and penalty factors.
@@ -172,8 +176,9 @@ def validate(dataset: Dataset) -> list[str]:
             violations.append(f"subject {i}: truncation exceeds left endpoint")
         if not np.all(np.isfinite(dataset.covariates[i])):
             violations.append(f"subject {i}: covariates contain non-finite values")
-    if not np.all(np.isfinite(dataset.penalty_factors)) or np.any(dataset.penalty_factors < 0):
-        violations.append("penalty factors must be finite and nonnegative")
+    # the fitter reads only whether a factor is zero, so it cannot honor other weights
+    if not np.all(np.isin(dataset.penalty_factors, (0.0, 1.0))):
+        violations.append("penalty factors must be 0 (unpenalized) or 1 (penalized)")
     return violations
 
 

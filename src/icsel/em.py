@@ -54,7 +54,9 @@ class EMWorkspace:
 
     def __init__(self, dataset: Dataset, support: SupportSet):
         if support.m == 0:
-            raise DegenerateSupportError("empty maximal-intersection support set")
+            raise DegenerateSupportError(
+                "no maximal intersection with a finite right endpoint exists"
+            )
         self.dataset = dataset
         self.support = support
         self.Z = dataset.covariates

@@ -145,17 +145,12 @@ def censor_all(T: np.ndarray, inspections: np.ndarray) -> tuple[np.ndarray, np.n
     Below the first inspection L = 0; above the last R = inf. Ties T == V_t
     land in the interval with R = V_t, so T <= R always.
     """
-    n, k = inspections.shape
-    L = np.empty(n)
-    R = np.empty(n)
-    for i in range(n):
-        idx = int(np.searchsorted(inspections[i], T[i], side="left"))
-        if idx >= k:
-            L[i], R[i] = inspections[i, k - 1], math.inf
-        else:
-            L[i] = 0.0 if idx == 0 else inspections[i, idx - 1]
-            R[i] = inspections[i, idx]
-    return L, R
+    n = inspections.shape[0]
+    # inspections before T; bounds[i, idx] and bounds[i, idx + 1] bracket T
+    idx = (inspections < T[:, None]).sum(1)
+    bounds = np.column_stack([np.zeros(n), inspections, np.full(n, math.inf)])
+    rows = np.arange(n)
+    return bounds[rows, idx], bounds[rows, idx + 1]
 
 
 def censor(T: float, inspections) -> tuple[float, float]:

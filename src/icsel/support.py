@@ -51,16 +51,11 @@ def _adjacent_pairs(left_candidates, right_candidates, min_left=None):
     pooled = np.unique(np.concatenate([left_candidates, right_candidates]))
     is_left = np.isin(pooled, left_candidates)
     is_right = np.isin(pooled, right_candidates)
-    lows, ups = [], []
-    for t in range(pooled.size - 1):
-        lo, hi = pooled[t], pooled[t + 1]
-        if not (is_left[t] and is_right[t + 1]):
-            continue
-        if min_left is not None and not (lo > min_left):
-            continue
-        lows.append(lo)
-        ups.append(hi)
-    return SupportSet(lower=np.array(lows), upper=np.array(ups))
+    lo, hi = pooled[:-1], pooled[1:]
+    pair = is_left[:-1] & is_right[1:]
+    if min_left is not None:
+        pair &= lo > min_left
+    return SupportSet(lower=lo[pair], upper=hi[pair])
 
 
 def maximal_intersections(dataset: Dataset) -> SupportSet:

@@ -1,22 +1,23 @@
 """Command-line interface: parsing, exit codes, artifacts, campaigns."""
 
 import csv
+import importlib.util
+import inspect
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from icsel import Dataset
+from icsel import Dataset, cli
 from icsel.cli import (
-    default_threads,
     main,
     read_dataset_csv,
     read_matrix_csv,
     write_dataset_csv,
 )
-from icsel.errors import ValidationError
 from icsel.simulate import ScenarioConfig, make_replicate, replicate_seeds
 
 
@@ -90,6 +91,32 @@ def test_parse_error_message_names_line(tmp_path, capsys):
     assert "bad.csv:3:" in err
 
 
+def test_parse_error_line_counts_blank_lines(tmp_path, capsys):
+    # the bad cell sits on line 5 of both files, after two blank lines
+    data = tmp_path / "data.csv"
+    data.write_text("left,right,z1\n\n0,1,0.5\n\n0.5,2,x\n")
+    rc = main(["path", "--input", str(data), "--family", "lasso",
+               "--output-path", str(tmp_path / "p.csv")])
+    assert rc == 2
+    assert "data.csv:5: could not convert string to float: 'x'" in capsys.readouterr().err
+    geno = tmp_path / "geno.csv"
+    geno.write_text("s1,s2\n\n0,2\n\n1,x\n")
+    rc = main(["impute", "--mode", "genotype", "--input", str(geno),
+               "--output", str(tmp_path / "fill.csv"), "--seed", "9"])
+    assert rc == 2
+    assert "geno.csv:5: could not convert string to float: 'x'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cell", ["nan", "na", ""])
+def test_missing_dataset_cell_is_parse_error(tmp_path, capsys, cell):
+    f = tmp_path / "data.csv"
+    f.write_text(f"left,right,z1,z2\n0.5,1.0,0.5,1\n0.5,2.0,{cell},0\n1.0,3.0,0.0,1\n")
+    rc = main(["path", "--input", str(f), "--family", "lasso",
+               "--output-path", str(tmp_path / "p.csv")])
+    assert rc == 2
+    assert "data.csv:3: missing value" in capsys.readouterr().err
+
+
 def test_missing_required_column_is_parse_error(tmp_path):
     f = tmp_path / "bad.csv"
     f.write_text("left,z1\n0,0.5\n")
@@ -154,27 +181,6 @@ def test_positive_trunc_without_flag_is_validation_error(tmp_path, capsys):
                "--output-path", str(tmp_path / "p.csv")])
     assert rc == 3
     assert "--truncation" in capsys.readouterr().err
-
-
-def test_threads_env_override(monkeypatch, tmp_path, capsys):
-    monkeypatch.setenv("ICSEL_THREADS", "3")
-    assert default_threads() == 3
-    monkeypatch.setenv("ICSEL_THREADS", "not-a-number")
-    with pytest.raises(ValidationError):
-        default_threads()
-    # only simulate without --threads reads the variable
-    data = tmp_path / "data.csv"
-    write_signal_csv(data, seed=5, n=60, p=8)
-    rc = main(["fit", "--input", str(data), "--family", "lasso",
-               "--output-model", str(tmp_path / "m.json"),
-               "--output-path", str(tmp_path / "p.csv")])
-    assert rc == 0
-    rc = main(["simulate", "--n", "40", "--p", "8", "--rho", "0", "--seed", "1",
-               "--output-dir", str(tmp_path / "sim")])
-    assert rc == 3
-    assert "ICSEL_THREADS" in capsys.readouterr().err
-    monkeypatch.delenv("ICSEL_THREADS")
-    assert default_threads() >= 1
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +305,25 @@ def test_fit_unpenalized_covariate_kept(tmp_path):
     assert doc["beta_original_scale"][0] != 0.0
     assert doc["selected_covariates"]["z1"] == doc["beta_original_scale"][0]
     assert doc["df"] <= len(doc["selected_covariates"]) - 1
+
+
+def test_penalty_factor_file_matches_unpenalized_flag(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    write_signal_csv(data, seed=4, n=80, p=6)
+    factors = tmp_path / "factors.csv"
+    factors.write_text("0,1,1,1,1,1\n")
+    runs = {"file": ["--penalty-factors", str(factors)], "flag": ["--unpenalized", "z1"]}
+    for tag, flags in runs.items():
+        rc = main(["path", "--input", str(data), "--family", "lasso", *flags,
+                   "--output-path", str(tmp_path / f"path_{tag}.csv")])
+        assert rc == 0
+    assert (tmp_path / "path_file.csv").read_bytes() == (tmp_path / "path_flag.csv").read_bytes()
+    # the fitter reads only zero versus nonzero, so other weights are rejected
+    factors.write_text("0,1,2,1,1,1\n")
+    rc = main(["path", "--input", str(data), "--family", "lasso",
+               "--penalty-factors", str(factors), "--output-path", str(tmp_path / "p.csv")])
+    assert rc == 3
+    assert "penalty factors must be 0 (unpenalized) or 1 (penalized)" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -460,3 +485,15 @@ def test_campaign_different_seed_differs(campaign, tmp_path):
                "--output-dir", str(out2)])
     assert rc == 0
     assert (campaign / "summary.csv").read_text() != (out2 / "summary.csv").read_text()
+
+
+def test_perfbench_traced_cli_functions_exist():
+    """Every icsel.cli function the benchmark traces by name is still defined."""
+    spans_py = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", spans_py)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    traced = [attr for _, module, attr in spans.SPANS if module == "icsel.cli"]
+    assert traced
+    for attr in traced:
+        assert inspect.isfunction(getattr(cli, attr, None)), attr

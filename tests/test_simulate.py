@@ -189,11 +189,17 @@ def test_censor_always_brackets():
     rng = np.random.default_rng(7)
     V = gen_inspections(rng, n=300)
     T = rng.uniform(0.0, 3.5, size=300)
+    T[:50] = V[np.arange(50), rng.integers(0, V.shape[1], size=50)]  # ties
     L, R = censor_all(T, V)
     assert np.all(L < T + 1e-15)
     assert np.all(T <= R)
     ic = np.isfinite(R)
     assert np.all(L[ic] < R[ic])
+    # per-subject reference: the first inspection at or after T closes the interval
+    for i in range(300):
+        idx = int(np.searchsorted(V[i], T[i], side="left"))
+        assert L[i] == (0.0 if idx == 0 else V[i, idx - 1])
+        assert R[i] == (V[i, idx] if idx < V.shape[1] else math.inf)
 
 
 def test_mean_censoring_rate_in_reported_band():
