@@ -1,19 +1,12 @@
 """Penalized variable selection for interval-censored proportional-hazards models."""
 
-from .data import Dataset, Observation, StandardizationRecord, standardize, validate
+from .data import Dataset, StandardizationRecord, standardize, validate
 from .em import EMWorkspace, FitDiagnostics, estep, fit_fixed_theta, mstep_lambda
 from .errors import DegenerateSupportError, NumericalError, ParseError, ValidationError
-from .likelihood import ModelState, cumulative_hazard, loglik
+from .likelihood import ModelState, loglik
 from .metrics import AggregateReport, FitReport, aggregate, hazard_sup_distance, score
 from .path import PathResult, adaptive_lasso_pipeline, gic, run_path, theta_grid
-from .penalties import (
-    PenaltySpec,
-    penalty_deriv,
-    penalty_value,
-    soft_threshold,
-    theta_max,
-    univariate_solve,
-)
+from .penalties import PenaltySpec, penalty_value, soft_threshold, theta_max, univariate_solve
 from .simulate import (
     PRESETS,
     ScenarioConfig,
@@ -37,7 +30,6 @@ __all__ = [
     "FitReport",
     "ModelState",
     "NumericalError",
-    "Observation",
     "ParseError",
     "PathResult",
     "PenaltySpec",
@@ -49,7 +41,6 @@ __all__ = [
     "adaptive_lasso_pipeline",
     "aggregate",
     "censoring_stats",
-    "cumulative_hazard",
     "estep",
     "fit_fixed_theta",
     "gen_snps",
@@ -61,7 +52,6 @@ __all__ = [
     "maximal_intersections",
     "midpoint_impute",
     "mstep_lambda",
-    "penalty_deriv",
     "penalty_value",
     "run_path",
     "scenario_from_preset",

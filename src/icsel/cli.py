@@ -35,7 +35,7 @@ from .errors import (
 )
 from .metrics import aggregate, hazard_sup_distance, score
 from .path import PathResult, adaptive_lasso_pipeline, run_path
-from .penalties import DEFAULT_ALPHA
+from .penalties import DEFAULT_ALPHA, FAMILIES
 from .simulate import (
     PRESETS,
     ScenarioConfig,
@@ -47,7 +47,6 @@ from .simulate import (
 )
 from .support import maximal_intersections
 
-FAMILY_CHOICES = ("lasso", "adaptive_lasso", "scad", "mcp")
 _MISSING = ("", "na", "nan")
 
 
@@ -434,7 +433,7 @@ def run_campaign(
     results do not depend on the worker count.
     """
     for fam in families:
-        if fam not in FAMILY_CHOICES:
+        if fam not in FAMILIES:
             raise ValidationError(f"unknown family {fam!r}")
     output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
@@ -515,7 +514,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def _add_fit_args(sub):
     sub.add_argument("--input", required=True, help="dataset CSV")
     sub.add_argument("--family", required=True,
-                     type=lambda s: s.replace("-", "_"), choices=FAMILY_CHOICES)
+                     type=lambda s: s.replace("-", "_"), choices=FAMILIES)
     sub.add_argument("--alpha", type=float, default=None)
     sub.add_argument("--no-standardize", dest="standardize", action="store_false")
     sub.add_argument("--truncation", action="store_true",

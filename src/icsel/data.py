@@ -10,26 +10,13 @@ to the original scale.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
 
-INF = math.inf
-
 _CONST_SCALE_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class Observation:
-    """One subject: interval (left, right], entry time, covariate row."""
-
-    left: float
-    right: float
-    covariates: np.ndarray
-    truncation: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -44,24 +31,15 @@ class StandardizationRecord:
     scale: np.ndarray
     constant: np.ndarray
 
-    def destandardize_beta(self, beta: np.ndarray) -> np.ndarray:
-        """Coefficients on the original covariate scale: beta_j / s_j."""
-        return np.asarray(beta, dtype=float) / self.scale
-
-    def restandardize_beta(self, beta_original: np.ndarray) -> np.ndarray:
-        return np.asarray(beta_original, dtype=float) * self.scale
-
-    def baseline_factor(self, beta: np.ndarray) -> float:
-        """Multiplier turning fitted jump sizes into original-scale jumps.
-
-        Standardized covariates shift the linear predictor by
-        -sum_j beta_j c_j / s_j, which the baseline hazard absorbs.
-        """
-        return float(np.exp(-np.sum(np.asarray(beta, dtype=float) * self.center / self.scale)))
-
     def to_original_scale(self, beta, lam) -> tuple[np.ndarray, np.ndarray]:
-        """(coefficients, baseline jump sizes) of a standardized fit on the original scale."""
-        return self.destandardize_beta(beta), lam * self.baseline_factor(beta)
+        """(coefficients, baseline jump sizes) of a standardized fit on the original scale.
+
+        Coefficients become beta_j / s_j. Standardized covariates shift the
+        linear predictor by -sum_j beta_j c_j / s_j, which the jump sizes absorb.
+        """
+        beta = np.asarray(beta, dtype=float)
+        factor = float(np.exp(-np.sum(beta * self.center / self.scale)))
+        return beta / self.scale, lam * factor
 
 
 class Dataset:
@@ -115,31 +93,6 @@ class Dataset:
     def p(self) -> int:
         return self.covariates.shape[1]
 
-    @property
-    def observations(self) -> list[Observation]:
-        return [
-            Observation(
-                left=float(self.left[i]),
-                right=float(self.right[i]),
-                covariates=self.covariates[i],
-                truncation=float(self.truncation[i]),
-            )
-            for i in range(self.n)
-        ]
-
-    @classmethod
-    def from_observations(cls, observations, penalty_factors=None) -> "Dataset":
-        if not observations:
-            raise ValidationError("dataset needs at least one observation")
-        Z = np.stack([np.asarray(o.covariates, dtype=float) for o in observations])
-        return cls(
-            left=[o.left for o in observations],
-            right=[o.right for o in observations],
-            covariates=Z,
-            truncation=[o.truncation for o in observations],
-            penalty_factors=penalty_factors,
-        )
-
     def replace(self, **kwargs) -> "Dataset":
         base = dict(
             left=self.left,
@@ -159,23 +112,25 @@ def validate(dataset: Dataset) -> list[str]:
     Returns an empty list when the dataset is well formed. Diagnostic only:
     never raises.
     """
-    violations: list[str] = []
     L, R, V = dataset.left, dataset.right, dataset.truncation
-    for i in range(dataset.n):
-        if not np.isfinite(L[i]) or L[i] < 0:
-            violations.append(f"subject {i}: left endpoint must be finite and nonnegative")
-        if np.isnan(R[i]):
-            violations.append(f"subject {i}: right endpoint is NaN")
-        elif R[i] == L[i]:
-            violations.append(f"subject {i}: left equals right (exact event times unsupported)")
-        elif R[i] < L[i]:
-            violations.append(f"subject {i}: left >= right")
-        if not np.isfinite(V[i]) or V[i] < 0:
-            violations.append(f"subject {i}: truncation time must be finite and nonnegative")
-        elif V[i] > L[i]:
-            violations.append(f"subject {i}: truncation exceeds left endpoint")
-        if not np.all(np.isfinite(dataset.covariates[i])):
-            violations.append(f"subject {i}: covariates contain non-finite values")
+    bad_trunc = ~np.isfinite(V) | (V < 0)
+    # in message order; the R checks and the V checks are each mutually
+    # exclusive, as a per-subject if/elif chain would make them
+    checks = [
+        (~np.isfinite(L) | (L < 0), "left endpoint must be finite and nonnegative"),
+        (np.isnan(R), "right endpoint is NaN"),
+        (R == L, "left equals right (exact event times unsupported)"),
+        (R < L, "left >= right"),
+        (bad_trunc, "truncation time must be finite and nonnegative"),
+        (~bad_trunc & (V > L), "truncation exceeds left endpoint"),
+        (~np.all(np.isfinite(dataset.covariates), axis=1), "covariates contain non-finite values"),
+    ]
+    failed = np.array([mask for mask, _ in checks])
+    violations = [
+        f"subject {i}: {checks[k][1]}"
+        for i in np.flatnonzero(failed.any(axis=0))
+        for k in np.flatnonzero(failed[:, i])
+    ]
     # the fitter reads only whether a factor is zero, so it cannot honor other weights
     if not np.all(np.isin(dataset.penalty_factors, (0.0, 1.0))):
         violations.append("penalty factors must be 0 (unpenalized) or 1 (penalized)")

@@ -48,8 +48,9 @@ class EMWorkspace:
     Risk cells are [a, d), bracket cells [c, d); right-censored subjects have
     c == d. Since V_i0 <= L_i, brackets always sit inside risk sets. An
     interval-censored subject with c == d has an empty bracket and is
-    rejected here. `null_fit` holds the family-independent null fit, filled
-    by the first path run on the workspace.
+    rejected here. `c_ic` and `d_ic` hold c and d of the interval-censored
+    subjects `ic_subjects`. `null_fit` holds the family-independent null
+    fit, filled by the first path run on the workspace.
     """
 
     def __init__(self, dataset: Dataset, support: SupportSet):
@@ -75,6 +76,8 @@ class EMWorkspace:
                 f"subject {i}: interval ({dataset.left[i]}, {dataset.right[i]}] holds no "
                 "support cell; the truncated support keeps only cells with l > 0"
             )
+        self.ic_subjects = np.flatnonzero(self.ic)
+        self.c_ic, self.d_ic = self.c[self.ic], self.d[self.ic]
         self.truncated = bool(np.any(dataset.truncation > 0))
         if not self.truncated:
             self.a = np.zeros(self.n, dtype=self.a.dtype)
@@ -145,29 +148,36 @@ class FitDiagnostics:
     zero_risk_sets: int = 0
 
 
-def estep(ws: EMWorkspace, beta: np.ndarray, lam: np.ndarray) -> EStepCache:
-    """Conditional expectations of the latent Poisson counts.
+def _bracket_jumps(ws: EMWorkspace, lam: np.ndarray, exb_ic: np.ndarray | None = None):
+    """(bracket masses M_i, g_i, jump numerators N_k) over interval-censored subjects.
 
-    Raises NumericalError (with the first offending subject index) when an
-    interval-censored subject's bracket mass underflows, since the truncated
-    Poisson expectation is undefined there.
+    With B_i = M_i e^{eta_i} and exb_ic = e^{eta_i} (None means beta = 0), g_i
+    = e^{eta_i} / (1 - exp(-B_i)) and N_k is lambda_k times the sum of g_i over
+    the brackets holding cell k. Raises NumericalError naming the first subject
+    whose B_i underflows, where the truncated Poisson expectation is undefined.
     """
-    eta, n_clamped = clamped_linpred(ws.Z, beta)
-    exb = np.exp(eta)
     cum = np.concatenate(([0.0], np.cumsum(lam)))
-    bracket_mass = cum[ws.d] - cum[ws.c]
-    B = bracket_mass * exb
-    bad = ws.ic & (B < _BRACKET_FLOOR)
+    mass = cum[ws.d_ic] - cum[ws.c_ic]
+    B = mass if exb_ic is None else mass * exb_ic
+    bad = B < _BRACKET_FLOOR
     if np.any(bad):
-        i = int(np.flatnonzero(bad)[0])
+        i = int(ws.ic_subjects[np.flatnonzero(bad)[0]])
         raise NumericalError(
             f"subject {i}: interval-censored bracket probability underflowed to zero"
         )
+    g = (1.0 if exb_ic is None else exb_ic) / (-np.expm1(-B))
+    return mass, g, lam * ws._range_sums(ws.c_ic, ws.d_ic, g)
+
+
+def estep(ws: EMWorkspace, beta: np.ndarray, lam: np.ndarray) -> EStepCache:
+    """Conditional expectations of the latent Poisson counts (see _bracket_jumps)."""
+    eta, n_clamped = clamped_linpred(ws.Z, beta)
+    exb = np.exp(eta)
+    mass, g_ic, numer = _bracket_jumps(ws, lam, exb[ws.ic])
     g = np.zeros(ws.n)
-    ic = ws.ic
-    g[ic] = exb[ic] / (-np.expm1(-B[ic]))
-    expected = bracket_mass * g
-    numer = lam * ws._range_sums(ws.c[ic], ws.d[ic], g[ic])
+    g[ws.ic] = g_ic
+    expected = np.zeros(ws.n)
+    expected[ws.ic] = mass * g_ic
     return EStepCache(
         eta=eta,
         exb=exb,
@@ -209,24 +219,13 @@ def baseline_lambda_fit(
     sums are constant subject counts, so each sweep is O(n + m).
     """
     risk = ws._range_sums(ws.a, ws.d, np.ones(ws.n))
-    zero = risk <= 0.0
-    if np.any(zero) and not ws.truncated:
+    at_risk = risk > 0.0
+    if not (ws.truncated or np.all(at_risk)):
         raise NumericalError("zero risk sum on an untruncated support set")
-    ic = ws.ic
-    c_ic, d_ic = ws.c[ic], ws.d[ic]
     lam = np.full(ws.m, 1.0 / ws.n)
     for _ in range(max_iter):
-        cum = np.concatenate(([0.0], np.cumsum(lam)))
-        mass = cum[d_ic] - cum[c_ic]
-        if np.any(mass < _BRACKET_FLOOR):
-            i = int(np.flatnonzero(ws.ic)[np.flatnonzero(mass < _BRACKET_FLOOR)[0]])
-            raise NumericalError(
-                f"subject {i}: interval-censored bracket probability underflowed to zero"
-            )
-        g = 1.0 / (-np.expm1(-mass))
-        numer = lam * ws._range_sums(c_ic, d_ic, g)
         new = np.zeros(ws.m)
-        np.divide(numer, risk, out=new, where=~zero)
+        np.divide(_bracket_jumps(ws, lam)[2], risk, out=new, where=at_risk)
         reldist = float(np.linalg.norm(new - lam) / (np.linalg.norm(lam) + 1.0))
         lam = new
         if reldist < tol:

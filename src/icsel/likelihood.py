@@ -39,20 +39,17 @@ class ModelState:
             raise ValueError("lambda length must match the support set size")
 
 
-def log1mexp(x):
+def log1mexp(x: np.ndarray) -> np.ndarray:
     """log(1 - exp(-x)) for x > 0 without catastrophic cancellation.
 
     Uses log(-expm1(-x)) for x <= log 2 and log1p(-exp(-x)) above, which keeps
     the relative error near machine precision across the whole range.
     """
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    small = arr <= _LOG2
-    out = np.empty_like(arr)
-    out[small] = np.log(-np.expm1(-arr[small]))
-    out[~small] = np.log1p(-np.exp(-arr[~small]))
-    return float(out[0]) if scalar else out
+    small = x <= _LOG2
+    out = np.empty_like(x)
+    out[small] = np.log(-np.expm1(-x[small]))
+    out[~small] = np.log1p(-np.exp(-x[~small]))
+    return out
 
 
 def clamped_linpred(Z: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, int]:
@@ -62,14 +59,6 @@ def clamped_linpred(Z: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, int]:
     if n_clamped:
         eta = np.clip(eta, -LINPRED_CLAMP, LINPRED_CLAMP)
     return eta, n_clamped
-
-
-def cumulative_hazard(state: ModelState, t) -> float | np.ndarray:
-    """Lambda(t) = sum of lambda_k over u_k <= t (right-continuous)."""
-    cum = np.concatenate(([0.0], np.cumsum(state.lam)))
-    idx = np.searchsorted(state.support.upper, t, side="right")
-    out = cum[idx]
-    return float(out) if np.ndim(t) == 0 else out
 
 
 def _check_finite(state: ModelState):

@@ -1,7 +1,7 @@
 """Scoring fitted coefficient vectors against a known truth.
 
-Selection errors are counted over penalized coordinates only and use exact
-zeros by default (the solvers threshold exactly); a tolerance knob exists for
+Selection errors are counted over every coordinate and use exact zeros by
+default (the solvers threshold exactly); a tolerance knob exists for
 externally produced estimates. Estimation errors are plain L1/L2 norms over
 the full vector.
 """
@@ -23,25 +23,15 @@ class FitReport:
     fp: int
     fn: int
     beta_hat_on_true_support: np.ndarray
-    nnz: int
 
 
 @dataclass
 class AggregateReport:
-    count: int
     means: dict[str, float]
     ses: dict[str, float]
-    coef_means: np.ndarray
-    coef_ses: np.ndarray
-    se_defined: bool
 
 
-def score(
-    beta_hat: np.ndarray,
-    beta_true: np.ndarray,
-    penalized: np.ndarray | None = None,
-    tol: float = 0.0,
-) -> FitReport:
+def score(beta_hat: np.ndarray, beta_true: np.ndarray, tol: float = 0.0) -> FitReport:
     """L1/L2 errors plus false positives and negatives.
 
     A coordinate counts as selected when |beta_hat_j| > tol; tol = 0 means
@@ -51,20 +41,15 @@ def score(
     beta_true = np.asarray(beta_true, dtype=float)
     if beta_hat.shape != beta_true.shape:
         raise ValueError("estimate and truth must have equal length")
-    if penalized is None:
-        penalized = np.ones(beta_hat.shape, dtype=bool)
     diff = beta_hat - beta_true
     sel = np.abs(beta_hat) > tol
     true_nz = beta_true != 0
-    fp = int(np.count_nonzero(sel & ~true_nz & penalized))
-    fn = int(np.count_nonzero(~sel & true_nz & penalized))
     return FitReport(
         l1_error=float(np.abs(diff).sum()),
         l2_error=float(np.sqrt((diff * diff).sum())),
-        fp=fp,
-        fn=fn,
+        fp=int(np.count_nonzero(sel & ~true_nz)),
+        fn=int(np.count_nonzero(~sel & true_nz)),
         beta_hat_on_true_support=beta_hat[true_nz],
-        nnz=int(np.count_nonzero(sel & penalized)),
     )
 
 
@@ -72,35 +57,20 @@ _METRIC_FIELDS = ("l1_error", "l2_error", "fp", "fn")
 
 
 def aggregate(reports: list[FitReport]) -> AggregateReport:
-    """Sample mean and standard error per metric, plus per-coefficient stats.
+    """Sample mean and standard error per metric.
 
-    With a single report the standard errors are undefined; they are reported
-    as NaN and se_defined is False.
+    With a single report the standard errors are undefined and reported as NaN.
     """
     if not reports:
         raise ValueError("aggregate needs at least one report")
     count = len(reports)
-    se_defined = count > 1
     means: dict[str, float] = {}
     ses: dict[str, float] = {}
     for name in _METRIC_FIELDS:
         vals = np.array([getattr(rep, name) for rep in reports], dtype=float)
         means[name] = float(vals.mean())
-        ses[name] = float(vals.std(ddof=1) / math.sqrt(count)) if se_defined else math.nan
-    coefs = np.stack([rep.beta_hat_on_true_support for rep in reports])
-    coef_means = coefs.mean(axis=0)
-    if se_defined:
-        coef_ses = coefs.std(axis=0, ddof=1) / math.sqrt(count)
-    else:
-        coef_ses = np.full(coefs.shape[1], math.nan)
-    return AggregateReport(
-        count=count,
-        means=means,
-        ses=ses,
-        coef_means=coef_means,
-        coef_ses=coef_ses,
-        se_defined=se_defined,
-    )
+        ses[name] = float(vals.std(ddof=1) / math.sqrt(count)) if count > 1 else math.nan
+    return AggregateReport(means=means, ses=ses)
 
 
 def hazard_sup_distance(

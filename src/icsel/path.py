@@ -41,12 +41,17 @@ def theta_grid(theta_max_value: float, family: str) -> np.ndarray:
     return grid
 
 
-def gic(loglik_value: float, df: int, n: int, p: int) -> float:
-    """-2 l_n + log(log n) log(p) df with the unscaled log likelihood."""
+def check_gic_defined(n: int, p: int) -> None:
+    """Raise ValueError unless GIC is defined: n > e and p >= 2."""
     if n <= math.e:
         raise ValueError("gic needs n > e so that log(log n) is positive")
     if p < 2:
         raise ValueError("gic needs p >= 2")
+
+
+def gic(loglik_value: float, df: int, n: int, p: int) -> float:
+    """-2 l_n + log(log n) log(p) df with the unscaled log likelihood."""
+    check_gic_defined(n, p)
     return -2.0 * loglik_value + math.log(math.log(n)) * math.log(p) * df
 
 
@@ -149,9 +154,11 @@ def run_path(
     """Warm-started 101-point path for one penalty family.
 
     The theta_1 fit must return an all-zero penalized coefficient vector by
-    construction of theta_max; that is checked on every run.
+    construction of theta_max; that is checked on every run. A dataset on
+    which GIC is undefined is rejected before any fit.
     """
     ws = workspace if workspace is not None else EMWorkspace(dataset, support)
+    check_gic_defined(ws.n, ws.p)
     if alpha is None:
         alpha = DEFAULT_ALPHA.get(family)
     y0, v0, lam0, beta0 = null_linearization(ws)

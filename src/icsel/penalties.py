@@ -94,26 +94,6 @@ def penalty_value(spec: PenaltySpec, b: float, weight: float | None = None) -> f
     raise ValueError(spec.family)
 
 
-def penalty_deriv(spec: PenaltySpec, b: float, weight: float | None = None) -> float:
-    """Derivative of the penalty at b >= 0 (one-sided at 0)."""
-    if b < 0:
-        raise ValueError("penalty_deriv is defined for b >= 0")
-    theta, alpha = spec.theta, spec.alpha
-    if spec.family == "lasso":
-        return theta
-    if spec.family == "adaptive_lasso":
-        if weight is None:
-            raise ValueError("adaptive_lasso derivative needs the coordinate weight")
-        return np.inf if weight == 0.0 else theta / weight
-    if spec.family == "scad":
-        if b <= theta:
-            return theta
-        return max(alpha * theta - b, 0.0) / (alpha - 1.0)
-    if spec.family == "mcp":
-        return (theta - b / alpha) if b <= alpha * theta else 0.0
-    raise ValueError(spec.family)
-
-
 def _best_candidate(spec: PenaltySpec, y: float, v: float, candidates) -> float:
     """Exact minimization over a finite candidate set; ties pick larger |b|."""
     best_b = 0.0

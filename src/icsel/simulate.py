@@ -153,12 +153,6 @@ def censor_all(T: np.ndarray, inspections: np.ndarray) -> tuple[np.ndarray, np.n
     return bounds[rows, idx], bounds[rows, idx + 1]
 
 
-def censor(T: float, inspections) -> tuple[float, float]:
-    """Single-subject censoring interval (L, R]."""
-    L, R = censor_all(np.array([T]), np.atleast_2d(np.asarray(inspections, dtype=float)))
-    return float(L[0]), float(R[0])
-
-
 def make_replicate(
     config: ScenarioConfig, seed_seq: np.random.SeedSequence
 ) -> tuple[Dataset, np.ndarray, np.ndarray]:

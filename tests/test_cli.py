@@ -11,6 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import icsel
+import icsel.path
 from icsel import Dataset, cli
 from icsel.cli import (
     main,
@@ -39,6 +41,12 @@ def write_signal_csv(path, seed=0, n=120, p=15, trunc=None):
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def test_public_names_resolve_once():
+    assert len(icsel.__all__) == len(set(icsel.__all__))
+    for name in icsel.__all__:
+        assert getattr(icsel, name) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +152,26 @@ def test_validation_error_exit_code(tmp_path, capsys):
         assert rc == 3
         assert "--alpha applies only to scad and mcp" in capsys.readouterr().err
     assert not (tmp_path / "m.json").exists()
+
+
+def test_one_covariate_rejected_before_fitting(tmp_path, capsys, monkeypatch):
+    """GIC needs p >= 2, so a one-covariate path fails before its baseline fit."""
+    calls = []
+    fit = icsel.path.baseline_lambda_fit
+
+    def counted(ws):
+        calls.append(ws)
+        return fit(ws)
+
+    monkeypatch.setattr(icsel.path, "baseline_lambda_fit", counted)
+    f = tmp_path / "one.csv"
+    f.write_text("left,right,z1\n0.5,1.0,0.5\n0.5,2.0,1.0\n1.0,3.0,0.0\n0.2,inf,2.0\n")
+    rc = main(["fit", "--input", str(f), "--family", "lasso",
+               "--output-model", str(tmp_path / "m.json"),
+               "--output-path", str(tmp_path / "p.csv")])
+    assert rc == 3
+    assert capsys.readouterr().err == "validation error: gic needs p >= 2\n"
+    assert calls == []
 
 
 def test_degenerate_support_exit_code(tmp_path):

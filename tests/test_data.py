@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from icsel import Dataset, Observation, standardize, validate
+from icsel import Dataset, standardize, validate
 from icsel.errors import ValidationError
 
 
@@ -29,20 +29,6 @@ def test_dataset_arrays_are_readonly():
     ds = small_dataset()
     with pytest.raises(ValueError):
         ds.left[0] = 5.0
-
-
-def test_from_observations_round_trip():
-    ds = small_dataset()
-    back = Dataset.from_observations(ds.observations)
-    assert np.array_equal(back.left, ds.left)
-    assert np.array_equal(back.right, ds.right)
-    assert np.array_equal(back.covariates, ds.covariates)
-
-
-def test_observation_fields():
-    obs = Observation(left=1.0, right=3.0, covariates=np.array([0.5]), truncation=0.5)
-    assert obs.left < obs.right
-    assert obs.truncation == 0.5
 
 
 def test_validate_clean():
@@ -77,6 +63,55 @@ def test_validate_negative_and_nonfinite():
     )
     msgs = validate(ds)
     assert len(msgs) >= 3
+
+
+def validate_per_subject(dataset):
+    """Reference: the per-subject loop that whole-array validate replaced."""
+    violations = []
+    L, R, V = dataset.left, dataset.right, dataset.truncation
+    for i in range(dataset.n):
+        if not np.isfinite(L[i]) or L[i] < 0:
+            violations.append(f"subject {i}: left endpoint must be finite and nonnegative")
+        if np.isnan(R[i]):
+            violations.append(f"subject {i}: right endpoint is NaN")
+        elif R[i] == L[i]:
+            violations.append(f"subject {i}: left equals right (exact event times unsupported)")
+        elif R[i] < L[i]:
+            violations.append(f"subject {i}: left >= right")
+        if not np.isfinite(V[i]) or V[i] < 0:
+            violations.append(f"subject {i}: truncation time must be finite and nonnegative")
+        elif V[i] > L[i]:
+            violations.append(f"subject {i}: truncation exceeds left endpoint")
+        if not np.all(np.isfinite(dataset.covariates[i])):
+            violations.append(f"subject {i}: covariates contain non-finite values")
+    if not np.all(np.isin(dataset.penalty_factors, (0.0, 1.0))):
+        violations.append("penalty factors must be 0 (unpenalized) or 1 (penalized)")
+    return violations
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_validate_matches_per_subject_loop():
+    ds = Dataset(
+        left=[math.nan, 1.0, -1.0, 2.0, 0.0, 3.0],
+        right=[1.0, 1.0, math.inf, 1.0, math.nan, 4.0],
+        covariates=np.array([[0.0], [math.nan], [1.0], [-math.inf], [0.0], [1.0]]),
+        truncation=[0.0, 2.0, -0.5, math.inf, 0.0, 1.0],
+        penalty_factors=[0.5],
+    )
+    msgs = validate(ds)
+    assert len(msgs) == 11
+    assert msgs == validate_per_subject(ds)
+    cells = np.array([0.0, 1.0, -1.0, 2.0, 0.5, math.inf, -math.inf, math.nan])
+    rng = np.random.default_rng(11)
+    for _ in range(500):
+        n, p = int(rng.integers(1, 6)), int(rng.integers(1, 3))
+        ds = Dataset(
+            left=rng.choice(cells, n),
+            right=rng.choice(cells, n),
+            covariates=rng.choice(cells, (n, p)),
+            truncation=rng.choice(cells, n),
+        )
+        assert validate(ds) == validate_per_subject(ds)
 
 
 def test_standardize_moments():
@@ -138,9 +173,8 @@ def test_destandardize_round_trip():
     )
     _, record = standardize(ds)
     beta = rng.normal(size=3)
-    assert record.restandardize_beta(record.destandardize_beta(beta)) == pytest.approx(
-        beta, rel=1e-14
-    )
+    beta_original, _ = record.to_original_scale(beta, np.ones(2))
+    assert beta_original * record.scale == pytest.approx(beta, rel=1e-14)
 
 
 def test_baseline_factor_identity_when_centered():
@@ -148,4 +182,5 @@ def test_baseline_factor_identity_when_centered():
     z = np.array([[-1.0], [0.0], [1.0]]) * math.sqrt(1.5)
     ds = Dataset(left=[0.0, 1.0, 2.0], right=[1.0, 2.0, 3.0], covariates=z)
     _, record = standardize(ds)
-    assert record.baseline_factor(np.array([2.0])) == pytest.approx(1.0, rel=1e-12)
+    _, lam = record.to_original_scale(np.array([2.0]), np.array([0.3, 0.7]))
+    assert lam == pytest.approx([0.3, 0.7], rel=1e-12)

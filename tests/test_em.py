@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import icsel.em
 from icsel import Dataset, PenaltySpec, fit_fixed_theta, standardize
 from icsel.em import (
     MAX_EM_ITERATIONS,
@@ -29,6 +30,7 @@ from oracles import (
     reference_penalty,
     surrogate_objective,
 )
+from test_golden import criterion2_dataset, truncated_dataset
 
 
 def workspace(left, right, Z, trunc=None):
@@ -209,6 +211,59 @@ def test_baseline_lambda_fit_is_self_consistent():
     cache = estep(ws, np.zeros(ws.p), lam)
     lam_next, _, _ = mstep_lambda(ws, cache, np.zeros(ws.p))
     assert np.linalg.norm(lam_next - lam) / (np.linalg.norm(lam) + 1.0) < 1e-10
+
+
+def baseline_lambda_fit_reference(ws, max_iter, floor=1e-300):
+    """The standalone baseline sweep that baseline_lambda_fit replaced, kept
+    as the bitwise reference for the shared bracket kernel."""
+    risk = ws._range_sums(ws.a, ws.d, np.ones(ws.n))
+    zero = risk <= 0.0
+    ic = ws.ic
+    c_ic, d_ic = ws.c[ic], ws.d[ic]
+    lam = np.full(ws.m, 1.0 / ws.n)
+    for _ in range(max_iter):
+        cum = np.concatenate(([0.0], np.cumsum(lam)))
+        mass = cum[d_ic] - cum[c_ic]
+        if np.any(mass < floor):
+            i = int(np.flatnonzero(ws.ic)[np.flatnonzero(mass < floor)[0]])
+            raise NumericalError(
+                f"subject {i}: interval-censored bracket probability underflowed to zero"
+            )
+        g = 1.0 / (-np.expm1(-mass))
+        numer = lam * ws._range_sums(c_ic, d_ic, g)
+        new = np.zeros(ws.m)
+        np.divide(numer, risk, out=new, where=~zero)
+        lam = new
+    return lam
+
+
+@pytest.mark.parametrize("make", [criterion2_dataset, truncated_dataset])
+def test_baseline_lambda_fit_matches_standalone_sweep(make):
+    std, _ = standardize(make())
+    ws = EMWorkspace(std, maximal_intersections(std))
+    ref = baseline_lambda_fit_reference(ws, max_iter=200)
+    assert np.array_equal(baseline_lambda_fit(ws, tol=0.0, max_iter=200), ref)
+
+
+def test_bracket_underflow_names_the_same_subject(monkeypatch):
+    """A floor between one and two cells' start mass 1/n fails the first
+    interval-censored subject with a one-cell bracket, which sits behind
+    right-censored subjects, so the named index is a dataset index."""
+    std, _ = standardize(criterion2_dataset())
+    ws = EMWorkspace(std, maximal_intersections(std))
+    floor = 1.5 / ws.n
+    one_cell = np.flatnonzero(ws.ic & (ws.d - ws.c == 1))
+    first = int(one_cell[0])
+    assert np.count_nonzero(~ws.ic[:first]) > 0
+    with pytest.raises(NumericalError) as ref:
+        baseline_lambda_fit_reference(ws, max_iter=1, floor=floor)
+    assert str(ref.value).startswith(f"subject {first}:")
+    monkeypatch.setattr(icsel.em, "_BRACKET_FLOOR", floor)
+    lam0 = np.full(ws.m, 1.0 / ws.n)
+    for run in (lambda: baseline_lambda_fit(ws), lambda: estep(ws, np.zeros(ws.p), lam0)):
+        with pytest.raises(NumericalError) as got:
+            run()
+        assert str(got.value) == str(ref.value)
 
 
 # ---------------------------------------------------------------------------

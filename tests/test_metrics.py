@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from icsel.metrics import AggregateReport, FitReport, aggregate, hazard_sup_distance, score
+from icsel.metrics import FitReport, aggregate, hazard_sup_distance, score
 from icsel.simulate import BETA6
 from icsel.support import SupportSet
 
@@ -32,7 +32,6 @@ def test_score_empty_fit_against_six_signals():
     rep = score(np.zeros(50), beta_true)
     assert rep.l1_error == pytest.approx(7.60, abs=1e-12)
     assert rep.fn == 6 and rep.fp == 0
-    assert rep.nnz == 0
 
 
 def test_score_count_identity():
@@ -44,7 +43,7 @@ def test_score_count_identity():
         beta_hat = np.where(rng.random(p) < 0.5, rng.normal(size=p), 0.0)
         rep = score(beta_hat, beta_true)
         true_nnz = int(np.count_nonzero(beta_true))
-        assert rep.fp + (true_nnz - rep.fn) == rep.nnz
+        assert rep.fp + (true_nnz - rep.fn) == np.count_nonzero(beta_hat)
 
 
 def test_score_permutation_equivariant():
@@ -57,7 +56,7 @@ def test_score_permutation_equivariant():
     b = score(beta_hat[perm], beta_true[perm])
     assert a.l1_error == pytest.approx(b.l1_error, rel=1e-15)
     assert a.l2_error == pytest.approx(b.l2_error, rel=1e-15)
-    assert (a.fp, a.fn, a.nnz) == (b.fp, b.fn, b.nnz)
+    assert (a.fp, a.fn) == (b.fp, b.fn)
 
 
 def test_score_tolerance_knob():
@@ -65,16 +64,6 @@ def test_score_tolerance_knob():
     beta_hat = np.array([1.0, 1e-6])
     assert score(beta_hat, beta_true).fp == 1
     assert score(beta_hat, beta_true, tol=1e-4).fp == 0
-
-
-def test_score_penalized_mask_limits_selection_counts():
-    beta_true = np.array([0.0, 1.0, 0.0])
-    beta_hat = np.array([0.5, 1.1, 0.2])
-    penalized = np.array([False, True, True])
-    rep = score(beta_hat, beta_true, penalized=penalized)
-    # coordinate 0 is unpenalized: not a selection target, but still in errors
-    assert rep.fp == 1
-    assert rep.l1_error == pytest.approx(0.5 + 0.1 + 0.2, rel=1e-12)
 
 
 def test_score_shape_mismatch_raises():
@@ -95,30 +84,20 @@ def test_score_reports_estimates_on_true_support():
 
 def report(l2):
     return FitReport(l1_error=2 * l2, l2_error=l2, fp=1, fn=0,
-                     beta_hat_on_true_support=np.array([l2, -l2]), nnz=3)
+                     beta_hat_on_true_support=np.array([l2, -l2]))
 
 
 def test_aggregate_single_report_flags_undefined_se():
     agg = aggregate([report(0.3)])
-    assert agg.count == 1
     assert agg.means["l2_error"] == pytest.approx(0.3)
-    assert not agg.se_defined
     assert math.isnan(agg.ses["l2_error"])
 
 
 def test_aggregate_two_reports():
     """L2 values 0.3 and 0.5: mean 0.4, standard error 0.1."""
     agg = aggregate([report(0.3), report(0.5)])
-    assert agg.count == 2
     assert agg.means["l2_error"] == pytest.approx(0.4, rel=1e-14)
     assert agg.ses["l2_error"] == pytest.approx(0.1, rel=1e-12)
-    assert agg.se_defined
-
-
-def test_aggregate_per_coefficient_stats():
-    agg = aggregate([report(0.3), report(0.5)])
-    assert agg.coef_means == pytest.approx([0.4, -0.4], rel=1e-14)
-    assert agg.coef_ses == pytest.approx([0.1, 0.1], rel=1e-12)
 
 
 def test_aggregate_empty_raises():

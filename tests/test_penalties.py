@@ -1,18 +1,11 @@
-"""Penalty values, derivatives, exact univariate solvers, theta_max."""
+"""Penalty values, exact univariate solvers, theta_max."""
 
 import math
 
 import numpy as np
 import pytest
 
-from icsel import (
-    PenaltySpec,
-    penalty_deriv,
-    penalty_value,
-    soft_threshold,
-    theta_max,
-    univariate_solve,
-)
+from icsel import PenaltySpec, penalty_value, soft_threshold, theta_max, univariate_solve
 
 from oracles import grid_minimize, objective_value, reference_penalty
 
@@ -40,15 +33,6 @@ def test_scad_value_tail():
 def test_mcp_value_inner_branch():
     """MCP theta=1, alpha=1.5, b=1: 1 - 1/3 = 2/3."""
     assert penalty_value(MCP, 1.0) == pytest.approx(2.0 / 3.0, rel=1e-15)
-
-
-def test_scad_deriv_branches():
-    assert penalty_deriv(SCAD, 0.5) == pytest.approx(1.0)
-    assert penalty_deriv(SCAD, 2.0) == pytest.approx(1.0 / 3.0, rel=1e-15)
-
-
-def test_mcp_deriv_indicator_off():
-    assert penalty_deriv(MCP, 2.0) == 0.0
 
 
 def test_adaptive_value_and_weights():
@@ -79,22 +63,6 @@ def test_value_matches_reference_formulas():
         assert penalty_value(spec, b) == pytest.approx(
             reference_penalty(family, theta, alpha or 0.0, b), rel=1e-13, abs=1e-13
         )
-
-
-def test_deriv_matches_finite_differences():
-    """Central differences away from the kinks, 1e-6 relative."""
-    rng = np.random.default_rng(4)
-    h = 1e-7
-    for spec in (LASSO, SCAD, MCP):
-        kinks = {0.0, spec.theta}
-        if spec.alpha:
-            kinks.add(spec.alpha * spec.theta)
-        for _ in range(100):
-            b = float(rng.uniform(1e-3, 5.0))
-            if any(abs(b - k) < 1e-3 for k in kinks):
-                continue
-            fd = (penalty_value(spec, b + h) - penalty_value(spec, b - h)) / (2 * h)
-            assert penalty_deriv(spec, b) == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
 
 def test_solve_zero_score():

@@ -11,7 +11,6 @@ from icsel.simulate import (
     BETA12,
     PRESETS,
     ScenarioConfig,
-    censor,
     censor_all,
     censoring_stats,
     event_time_from_exponential,
@@ -169,20 +168,22 @@ def test_inspection_envelopes_and_gaps():
     assert np.all(V[:, 5] < 3.3)
 
 
+V_ONE = np.array([[0.15, 0.4, 0.7, 1.1, 1.6, 2.2]])
+
+
 def test_censor_below_first_inspection():
-    V = [0.15, 0.4, 0.7, 1.1, 1.6, 2.2]
-    assert censor(0.05, V) == (0.0, 0.15)
+    L, R = censor_all(np.array([0.05]), V_ONE)
+    assert (L[0], R[0]) == (0.0, 0.15)
 
 
 def test_censor_above_last_inspection():
-    V = [0.15, 0.4, 0.7, 1.1, 1.6, 2.2]
-    L, R = censor(2.5, V)
-    assert L == 2.2 and math.isinf(R)
+    L, R = censor_all(np.array([2.5]), V_ONE)
+    assert L[0] == 2.2 and math.isinf(R[0])
 
 
 def test_censor_tie_lands_left_of_inspection():
-    V = [0.15, 0.4, 0.7, 1.1, 1.6, 2.2]
-    assert censor(0.4, V) == (0.15, 0.4)
+    L, R = censor_all(np.array([0.4]), V_ONE)
+    assert (L[0], R[0]) == (0.15, 0.4)
 
 
 def test_censor_always_brackets():
