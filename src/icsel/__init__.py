@@ -5,7 +5,7 @@ from .em import EMWorkspace, FitDiagnostics, estep, fit_fixed_theta, mstep_lambd
 from .errors import DegenerateSupportError, NumericalError, ParseError, ValidationError
 from .likelihood import ModelState, loglik
 from .metrics import AggregateReport, FitReport, aggregate, hazard_sup_distance, score
-from .path import PathResult, adaptive_lasso_pipeline, gic, run_path, theta_grid
+from .path import PathResult, fit_families, gic, run_path, theta_grid
 from .penalties import PenaltySpec, penalty_value, soft_threshold, theta_max, univariate_solve
 from .simulate import (
     PRESETS,
@@ -38,10 +38,10 @@ __all__ = [
     "StandardizationRecord",
     "SupportSet",
     "ValidationError",
-    "adaptive_lasso_pipeline",
     "aggregate",
     "censoring_stats",
     "estep",
+    "fit_families",
     "fit_fixed_theta",
     "gen_snps",
     "gic",

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, StandardizationRecord, standardize, validate
+from .data import Dataset, standardize, validate
 from .em import EMWorkspace
 from .errors import (
     DegenerateSupportError,
@@ -34,7 +34,7 @@ from .errors import (
     ValidationError,
 )
 from .metrics import aggregate, hazard_sup_distance, score
-from .path import PathResult, adaptive_lasso_pipeline, run_path
+from .path import PathResult, fit_families
 from .penalties import DEFAULT_ALPHA, FAMILIES
 from .simulate import (
     PRESETS,
@@ -45,7 +45,6 @@ from .simulate import (
     replicate_seeds,
     scenario_from_preset,
 )
-from .support import maximal_intersections
 
 _MISSING = ("", "na", "nan")
 
@@ -166,7 +165,7 @@ def read_matrix_csv(path, allow_nan: bool = False) -> tuple[np.ndarray, list[str
 
 def write_dataset_csv(path, dataset: Dataset, names: list[str] | None = None) -> None:
     names = names or [f"z{j + 1}" for j in range(dataset.p)]
-    has_trunc = bool(np.any(dataset.truncation > 0))
+    has_trunc = dataset.truncated
     head = ["left", "right"] + (["trunc"] if has_trunc else []) + list(names)
     cols = [dataset.left, dataset.right] + ([dataset.truncation] if has_trunc else [])
     write_table(path, head, np.column_stack(cols + [dataset.covariates]))
@@ -203,23 +202,20 @@ def _json_default(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def model_json(
-    result: PathResult,
-    record: StandardizationRecord | None,
-    names: list[str],
-) -> dict:
+def _original_scale(dataset: Dataset, result: PathResult) -> tuple[np.ndarray, np.ndarray]:
+    """(coefficients, jump sizes) of the selected fit on the dataset's original scale."""
+    state = result.selected_state
+    record = dataset.standardization
+    if record is None:
+        return state.beta, state.lam
+    return record.to_original_scale(state.beta, state.lam)
+
+
+def model_json(result: PathResult, dataset: Dataset, names: list[str]) -> dict:
     state = result.selected_state
     beta_std = state.beta
-    if record is not None:
-        beta_orig, lam_orig = record.to_original_scale(beta_std, state.lam)
-        std_block = {
-            "center": record.center,
-            "scale": record.scale,
-            "constant": record.constant,
-        }
-    else:
-        beta_orig, lam_orig = beta_std, state.lam
-        std_block = None
+    beta_orig, lam_orig = _original_scale(dataset, result)
+    record = dataset.standardization
     nonzero = {names[j]: float(beta_orig[j]) for j in np.flatnonzero(beta_orig)}
     sel = result.selected
     doc = {
@@ -242,16 +238,16 @@ def model_json(
             "lambda_standardized": state.lam,
             "lambda_original_scale": lam_orig,
         },
-        "standardization": std_block,
+        "standardization": None if record is None else dataclasses.asdict(record),
         "warnings": list(result.warnings),
         "degenerate": result.degenerate,
     }
     return doc
 
 
-def write_model_json(path, result, record, names) -> None:
+def write_model_json(path, result, dataset, names) -> None:
     with open(path, "w") as fh:
-        json.dump(model_json(result, record, names), fh, indent=1, default=_json_default)
+        json.dump(model_json(result, dataset, names), fh, indent=1, default=_json_default)
         fh.write("\n")
 
 
@@ -286,27 +282,23 @@ def _prepare_dataset(args: argparse.Namespace):
     violations = validate(dataset)
     if violations:
         raise ValidationError("; ".join(violations))
-    if not args.truncation and np.any(dataset.truncation > 0):
+    if not args.truncation and dataset.truncated:
         raise ValidationError(
             "input has positive trunc values; rerun with --truncation to honor them"
         )
-    record = None
     if args.standardize:
-        dataset, record = standardize(dataset)
-    return dataset, names, record, maximal_intersections(dataset)
+        dataset, _ = standardize(dataset)
+    return EMWorkspace(dataset), names
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
     """fit and path; path has no model file (output_model is None)."""
     if args.alpha is not None and args.family not in DEFAULT_ALPHA:
         raise ValidationError("--alpha applies only to scad and mcp")
-    dataset, names, record, support = _prepare_dataset(args)
-    if args.family == "adaptive_lasso":
-        result = adaptive_lasso_pipeline(dataset, support)
-    else:
-        result = run_path(dataset, support, args.family, alpha=args.alpha)
+    ws, names = _prepare_dataset(args)
+    result = fit_families(ws, [args.family], alpha=args.alpha)[args.family]
     if args.output_model is not None:
-        write_model_json(args.output_model, result, record, names)
+        write_model_json(args.output_model, result, ws.dataset, names)
     write_path_csv(args.output_path_csv, result)
     return 0
 
@@ -384,31 +376,14 @@ def _replicate_worker(rep_index, seed_seq, *, scenario, families, do_standardize
     }
     if not families:
         return out
-    record = None
-    dataset = dataset_raw
-    if do_standardize:
-        dataset, record = standardize(dataset_raw)
-    support = maximal_intersections(dataset)
-    ws = EMWorkspace(dataset, support)
-    lasso_res = None
-    if "lasso" in families or "adaptive_lasso" in families:
-        lasso_res = run_path(dataset, support, "lasso", workspace=ws)
-    for fam in families:
-        if fam == "lasso":
-            res = lasso_res
-        elif fam == "adaptive_lasso":
-            res = adaptive_lasso_pipeline(dataset, support, workspace=ws, lasso_path=lasso_res)
-        else:
-            res = run_path(dataset, support, fam, workspace=ws)
-        state = res.selected_state
-        if record is not None:
-            beta_raw, lam_raw = record.to_original_scale(state.beta, state.lam)
-        else:
-            beta_raw, lam_raw = state.beta, state.lam
+    dataset = standardize(dataset_raw)[0] if do_standardize else dataset_raw
+    ws = EMWorkspace(dataset)
+    for fam, res in fit_families(ws, families).items():
+        beta_raw, lam_raw = _original_scale(dataset, res)
         out["families"][fam] = {
             "report": score(beta_raw, beta_true),
             "hazard_sup": hazard_sup_distance(
-                support, lam_raw, scenario.weibull_eta, scenario.weibull_kappa
+                ws.support, lam_raw, scenario.weibull_eta, scenario.weibull_kappa
             ),
             "selected_theta": float(res.thetas[res.selected]),
             "selected_index": res.selected + 1,

@@ -93,6 +93,11 @@ class Dataset:
     def p(self) -> int:
         return self.covariates.shape[1]
 
+    @property
+    def truncated(self) -> bool:
+        """Whether any subject enters late (a positive truncation time)."""
+        return bool(np.any(self.truncation > 0))
+
     def replace(self, **kwargs) -> "Dataset":
         base = dict(
             left=self.left,

@@ -75,12 +75,24 @@ def loglik(state: ModelState, dataset: Dataset) -> float:
     The linear predictor is clamped to +-700 as a safety valve for divergent
     intermediate iterates.
     """
-    upper = state.support.upper
+    indices = cell_indices(state.support.upper, dataset)
+    return _loglik_indexed(state, dataset.covariates, *indices)
+
+
+def cell_indices(upper: np.ndarray, dataset: Dataset) -> tuple[np.ndarray, ...]:
+    """(a, c, d, ic): each subject's support indices and the interval-censored mask.
+
+    With R_i* = R_i when interval-censored (ic) and L_i when right-censored,
+    a, c and d index the first u_k past V_i0, L_i and R_i*. Without truncation
+    every a is 0, because every u_k > 0.
+    """
+    ic = np.isfinite(dataset.right)
+    rstar = np.where(ic, dataset.right, dataset.left)
     a, c, d = (
         np.searchsorted(upper, t, side="right")
-        for t in (dataset.truncation, dataset.left, dataset.right)
+        for t in (dataset.truncation, dataset.left, rstar)
     )
-    return _loglik_indexed(state, dataset.covariates, a, c, d, np.isfinite(dataset.right))
+    return a, c, d, ic
 
 
 def _loglik_indexed(

@@ -18,12 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset
 from .em import EMWorkspace, baseline_lambda_fit, estep, fit_fixed_theta, surrogate
 from .errors import NumericalError
 from .likelihood import ModelState, _loglik_indexed
 from .penalties import DEFAULT_ALPHA, PenaltySpec, theta_max
-from .support import SupportSet
 
 GRID_SIZE = 101
 EPSILON = {"lasso": 0.05, "scad": 0.05, "mcp": 0.05, "adaptive_lasso": 1e-4}
@@ -77,7 +75,6 @@ class PathResult:
     selected: int
     warnings: list[str] = field(default_factory=list)
     weights: np.ndarray | None = None
-    stage1: "PathResult | None" = None
     degenerate: bool = False
 
     @property
@@ -144,12 +141,10 @@ def select_index(
 
 
 def run_path(
-    dataset: Dataset,
-    support: SupportSet,
+    ws: EMWorkspace,
     family: str,
     alpha: float | None = None,
     weights: np.ndarray | None = None,
-    workspace: EMWorkspace | None = None,
 ) -> PathResult:
     """Warm-started 101-point path for one penalty family.
 
@@ -157,7 +152,6 @@ def run_path(
     construction of theta_max; that is checked on every run. A dataset on
     which GIC is undefined is rejected before any fit.
     """
-    ws = workspace if workspace is not None else EMWorkspace(dataset, support)
     check_gic_defined(ws.n, ws.p)
     if alpha is None:
         alpha = DEFAULT_ALPHA.get(family)
@@ -213,44 +207,43 @@ def run_path(
     )
 
 
-def adaptive_lasso_pipeline(
-    dataset: Dataset,
-    support: SupportSet,
-    workspace: EMWorkspace | None = None,
-    lasso_path: PathResult | None = None,
-) -> PathResult:
-    """Lasso path, then an adaptive-lasso path weighted by its selected fit.
+def fit_families(ws: EMWorkspace, families, alpha: float | None = None) -> dict[str, PathResult]:
+    """The path of each family on one workspace, keyed by family name.
 
-    When the lasso stage selects the empty model every adaptive weight is
-    zero, so the adaptive stage degenerates to the empty model; the theta_1
-    lasso state (zero coefficients with the baseline-only jump fit) is
-    returned with a warning.
+    The lasso path is fitted once and is the adaptive-lasso pilot: the
+    adaptive weights are |beta_j| of its selected fit. An empty pilot zeroes
+    every weight, so the adaptive stage degenerates to the theta_1 lasso state
+    (zero coefficients, baseline-only jumps), returned with a warning. alpha
+    applies to scad and mcp.
     """
-    ws = workspace if workspace is not None else EMWorkspace(dataset, support)
-    stage1 = lasso_path if lasso_path is not None else run_path(
-        dataset, support, "lasso", workspace=ws
+    done = {}
+    if "lasso" in families or "adaptive_lasso" in families:
+        done["lasso"] = run_path(ws, "lasso")
+    for family in families:
+        if family == "adaptive_lasso":
+            done[family] = _adaptive_lasso_path(ws, done["lasso"])
+        elif family not in done:
+            done[family] = run_path(ws, family, alpha=alpha)
+    return {family: done[family] for family in families}
+
+
+def _adaptive_lasso_path(ws: EMWorkspace, lasso: PathResult) -> PathResult:
+    w = np.abs(lasso.selected_state.beta)
+    if np.any(w[ws.pen_mask] > 0):
+        return run_path(ws, "adaptive_lasso", weights=w)
+    return PathResult(
+        family="adaptive_lasso",
+        alpha=None,
+        theta_max=math.nan,
+        thetas=np.array([math.nan]),
+        states=[lasso.states[0]],
+        loglik=np.array([lasso.loglik[0]]),
+        df=np.array([0]),
+        gic=np.array([lasso.gic[0]]),
+        iterations=np.array([0]),
+        converged=np.array([True]),
+        selected=0,
+        warnings=["lasso stage selected the empty model; adaptive stage degenerate"],
+        weights=w,
+        degenerate=True,
     )
-    pilot = stage1.selected_state.beta
-    w = np.abs(pilot)
-    if not np.any(w[ws.pen_mask] > 0):
-        empty = stage1.states[0]
-        return PathResult(
-            family="adaptive_lasso",
-            alpha=None,
-            theta_max=math.nan,
-            thetas=np.array([math.nan]),
-            states=[empty],
-            loglik=np.array([stage1.loglik[0]]),
-            df=np.array([0]),
-            gic=np.array([stage1.gic[0]]),
-            iterations=np.array([0]),
-            converged=np.array([True]),
-            selected=0,
-            warnings=["lasso stage selected the empty model; adaptive stage degenerate"],
-            weights=w,
-            stage1=stage1,
-            degenerate=True,
-        )
-    result = run_path(dataset, support, "adaptive_lasso", weights=w, workspace=ws)
-    result.stage1 = stage1
-    return result

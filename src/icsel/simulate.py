@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 from .data import Dataset
 
@@ -30,6 +30,8 @@ BETA6.setflags(write=False)
 BETA12.setflags(write=False)
 
 _BETA_BY_NAME = {"b6": BETA6, "b12": BETA12}
+
+_NORMAL_QUANTILE = np.vectorize(NormalDist().inv_cdf, otypes=[float])
 
 
 @dataclass(frozen=True)
@@ -46,7 +48,6 @@ class ScenarioConfig:
     weibull_kappa: float = 1.5
     maf_low: float = 0.05
     maf_high: float = 0.20
-    num_inspections: int = 6
 
     def beta_true(self) -> np.ndarray:
         """True coefficient vector: the preset at the leading coordinates."""
@@ -83,7 +84,7 @@ def scenario_from_preset(name: str, **overrides) -> ScenarioConfig:
 def hwe_cutoffs(maf):
     """Latent cutoffs Phi^{-1}((1-q)^2) and Phi^{-1}(1-q^2) for MAF q."""
     q = np.asarray(maf, dtype=float)
-    return ndtri((1.0 - q) ** 2), ndtri(1.0 - q * q)
+    return _NORMAL_QUANTILE((1.0 - q) ** 2), _NORMAL_QUANTILE(1.0 - q * q)
 
 
 def gen_latent(n: int, p: int, rho: float, rng: np.random.Generator) -> np.ndarray:

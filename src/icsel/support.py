@@ -69,7 +69,7 @@ def maximal_intersections(dataset: Dataset) -> SupportSet:
     when every subject is right-censored) and blocks any downstream fit.
     """
     right_candidates = dataset.right[np.isfinite(dataset.right)]
-    truncated = bool(np.any(dataset.truncation > 0))
+    truncated = dataset.truncated
     if truncated:
         right_candidates = np.concatenate([right_candidates, dataset.truncation])
     if right_candidates.size == 0:

@@ -17,7 +17,7 @@ from icsel import Dataset, PenaltySpec, standardize
 from icsel.cli import main, read_dataset_csv
 from icsel.em import EMWorkspace, estep, mstep_lambda, surrogate
 from icsel.likelihood import ModelState, loglik
-from icsel.path import run_path, select_index, theta_grid
+from icsel.path import fit_families, select_index, theta_grid
 from icsel.penalties import univariate_solve
 from icsel.simulate import scenario_from_preset, censoring_stats, PRESETS
 from icsel.support import maximal_intersections
@@ -25,7 +25,6 @@ from icsel.support import maximal_intersections
 from oracles import (
     _penalty_array,
     brute_force_support,
-    ew_dense,
     expected_complete_loglik,
     fd_gradient,
     fd_second_diag,
@@ -34,6 +33,7 @@ from oracles import (
     reference_loglik,
     surrogate_objective,
 )
+from test_em import ew_of
 
 CAMPAIGN_SEED = 20240815
 FAMILIES = ["mcp", "lasso", "scad", "adaptive_lasso"]
@@ -130,7 +130,7 @@ def random_state(rng, n=12, p=3, min_mass=0.007):
         lam = rng.uniform(0.1, 0.7, size=m)
         beta = rng.normal(scale=0.4, size=p)
         state = ModelState(beta=beta, lam=lam, support=supp)
-        ws = EMWorkspace(ds, supp)
+        ws = EMWorkspace(ds)
         cum = np.concatenate([[0.0], np.cumsum(lam)])
         exb = np.exp(Z @ beta)
         mass = (cum[ws.d] - cum[ws.c]) * exb
@@ -171,7 +171,7 @@ def test_criterion_1d_surrogate_matches_finite_differences(capsys):
         supp = maximal_intersections(ds)
         if not (1 <= supp.lower.size <= 4):
             continue
-        ws = EMWorkspace(ds, supp)
+        ws = EMWorkspace(ds)
         beta = rng.normal(scale=0.3, size=2)
         lam = rng.uniform(0.1, 0.8, size=ws.m)
         cache = estep(ws, beta, lam)
@@ -213,10 +213,10 @@ def test_criterion_1e_estep_matches_monte_carlo(capsys):
         Zmat = np.zeros((m + 1, 1))
         Zmat[m, 0] = z
         ds = Dataset(left=left, right=right, covariates=Zmat)
-        ws = EMWorkspace(ds, maximal_intersections(ds))
+        ws = EMWorkspace(ds)
         assert ws.m == m
         cache = estep(ws, np.array([beta]), lam)
-        got = ew_dense(ds, ws.support.upper, cache.g, lam)[m]
+        got = ew_of(ws, cache, lam)[m]
         exb = math.exp(beta * z)
         means, ses, kept = mc_truncated_poisson(
             lam, exb, 1_000_000, np.random.default_rng(9000 + cfg)
@@ -246,7 +246,7 @@ def test_criterion_1f_mstep_is_argmax(capsys):
         supp = maximal_intersections(ds)
         if supp.lower.size == 0:
             continue
-        ws = EMWorkspace(ds, supp)
+        ws = EMWorkspace(ds)
         beta = rng.normal(scale=0.3, size=2)
         lam_in = rng.uniform(0.1, 0.8, size=ws.m)
         cache = estep(ws, beta, lam_in)
@@ -285,14 +285,7 @@ def test_criterion_2_path_invariants(capsys, tmp_path):
     lo = np.where(idx == 0, 0.0, V[np.arange(n), np.maximum(idx - 1, 0)])
     hi = np.where(idx >= 6, math.inf, V[np.arange(n), np.minimum(idx, 5)])
     std, _ = standardize(Dataset(left=lo, right=hi, covariates=Z))
-    supp = maximal_intersections(std)
-    for family in FAMILIES:
-        if family == "adaptive_lasso":
-            from icsel.path import adaptive_lasso_pipeline
-
-            res = adaptive_lasso_pipeline(std, supp)
-        else:
-            res = run_path(std, supp, family)
+    for family, res in fit_families(EMWorkspace(std), FAMILIES).items():
         if res.df[0] != 0:
             problems.append(f"{family} df at theta_1 is {res.df[0]}")
         grid = res.thetas

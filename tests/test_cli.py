@@ -6,6 +6,8 @@ import inspect
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -525,3 +527,13 @@ def test_perfbench_traced_cli_functions_exist():
     assert traced
     for attr in traced:
         assert inspect.isfunction(getattr(cli, attr, None)), attr
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """scipy is a test-only dependency: importing the CLI must not load it."""
+    src = Path(icsel.__file__).resolve().parents[1]
+    code = "import sys, icsel.cli; print('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"

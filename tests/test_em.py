@@ -36,7 +36,14 @@ from test_golden import criterion2_dataset, truncated_dataset
 def workspace(left, right, Z, trunc=None):
     ds = Dataset(left=left, right=right, covariates=np.asarray(Z, dtype=float),
                  truncation=trunc)
-    return EMWorkspace(ds, maximal_intersections(ds))
+    return EMWorkspace(ds)
+
+
+def ew_of(ws, cache, lam):
+    """ew_dense with g_i rebuilt from em._bracket_jumps (0 when right-censored)."""
+    g = np.zeros(ws.n)
+    g[ws.ic] = icsel.em._bracket_jumps(ws, lam, cache.exb[ws.ic])[1]
+    return ew_dense(ws.dataset, ws.support.upper, g, lam)
 
 
 def random_workspace(rng, n=8, p=3, rc_prob=0.25):
@@ -59,7 +66,7 @@ def test_estep_single_cell_frozen_value():
     ws = workspace([0.0], [1.0], [[0.0]])
     lam = np.array([1.0])
     cache = estep(ws, np.zeros(1), lam)
-    ew = ew_dense(ws.dataset, ws.support.upper, cache.g, lam)
+    ew = ew_of(ws, cache, lam)
     assert ew[0, 0] == pytest.approx(1.5819767068693265, abs=1e-15)
     assert cache.expected_counts[0] == pytest.approx(1.5819767068693265, abs=1e-15)
 
@@ -69,7 +76,7 @@ def test_estep_zero_before_left_endpoint():
     ws = workspace([0.0, 2.0], [1.0, 3.0], [[0.0], [0.0]])
     lam = np.array([0.4, 0.6])
     cache = estep(ws, np.zeros(1), lam)
-    ew = ew_dense(ws.dataset, ws.support.upper, cache.g, lam)
+    ew = ew_of(ws, cache, lam)
     assert ew[1, 0] == 0.0
     assert ew[1, 1] > 0.0
 
@@ -78,7 +85,7 @@ def test_estep_right_censored_row_is_zero():
     ws = workspace([0.0, 1.5], [1.0, math.inf], [[0.0], [0.0]])
     lam = np.array([0.5])
     cache = estep(ws, np.zeros(1), lam)
-    assert np.all(ew_dense(ws.dataset, ws.support.upper, cache.g, lam)[1] == 0.0)
+    assert np.all(ew_of(ws, cache, lam)[1] == 0.0)
     assert cache.expected_counts[1] == 0.0
 
 
@@ -92,7 +99,7 @@ def test_estep_exceeds_unconditional_mean():
         beta = rng.normal(scale=0.3, size=ws.p)
         lam = rng.uniform(0.05, 0.5, size=ws.m)
         cache = estep(ws, beta, lam)
-        ew = ew_dense(ws.dataset, ws.support.upper, cache.g, lam)
+        ew = ew_of(ws, cache, lam)
         exb = np.exp(ws.Z @ beta)
         for i in range(ws.n):
             if not ws.ic[i]:
@@ -119,7 +126,7 @@ def test_empty_truncated_bracket_rejected_at_workspace():
     supp = maximal_intersections(ds)
     assert list(supp.upper) == [1.0, 2.0, 2.5, 4.0]
     with pytest.raises(NumericalError, match=r"subject 0: interval \(0\.0, 0\.4\].*l > 0"):
-        EMWorkspace(ds, supp)
+        EMWorkspace(ds)
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +138,6 @@ def synthetic_cache(ws, numerators, beta):
     return EStepCache(
         eta=eta,
         exb=np.exp(eta),
-        g=np.zeros(ws.n),
         expected_counts=np.zeros(ws.n),
         jump_numerators=np.asarray(numerators, dtype=float),
         clamp_count=0,
@@ -240,7 +246,7 @@ def baseline_lambda_fit_reference(ws, max_iter, floor=1e-300):
 @pytest.mark.parametrize("make", [criterion2_dataset, truncated_dataset])
 def test_baseline_lambda_fit_matches_standalone_sweep(make):
     std, _ = standardize(make())
-    ws = EMWorkspace(std, maximal_intersections(std))
+    ws = EMWorkspace(std)
     ref = baseline_lambda_fit_reference(ws, max_iter=200)
     assert np.array_equal(baseline_lambda_fit(ws, tol=0.0, max_iter=200), ref)
 
@@ -250,7 +256,7 @@ def test_bracket_underflow_names_the_same_subject(monkeypatch):
     interval-censored subject with a one-cell bracket, which sits behind
     right-censored subjects, so the named index is a dataset index."""
     std, _ = standardize(criterion2_dataset())
-    ws = EMWorkspace(std, maximal_intersections(std))
+    ws = EMWorkspace(std)
     floor = 1.5 / ws.n
     one_cell = np.flatnonzero(ws.ic & (ws.d - ws.c == 1))
     first = int(one_cell[0])
@@ -375,7 +381,7 @@ def test_cd_unpenalized_coordinate_takes_least_squares_update():
         covariates=np.array([[1.0, 0.5], [-1.0, 0.3], [0.5, -0.2], [0.2, 0.1]]),
         penalty_factors=[0.0, 1.0],
     )
-    ws = EMWorkspace(ds, maximal_intersections(ds))
+    ws = EMWorkspace(ds)
     cache = estep(ws, np.zeros(2), np.full(ws.m, 0.3))
     quad = surrogate(ws, cache)
     spec = PenaltySpec(family="lasso", theta=1e9)
@@ -394,7 +400,7 @@ def test_cd_skips_constant_pinned_column():
         covariates=np.array([[7.0, 0.5], [7.0, -0.4], [7.0, 0.1]]),
     )
     std, _ = standardize(ds)
-    ws = EMWorkspace(std, maximal_intersections(std))
+    ws = EMWorkspace(std)
     assert ws.pinned[0] and not ws.pinned[1]
     cache = estep(ws, np.zeros(2), np.full(ws.m, 0.3))
     quad = surrogate(ws, cache)
@@ -418,7 +424,7 @@ def fit_instance(rng, n, p, beta_true, theta, family="lasso"):
     right = np.where(idx >= 6, math.inf, V[np.arange(n), np.minimum(idx, 5)])
     ds = Dataset(left=left, right=right, covariates=Z)
     std, _ = standardize(ds)
-    ws = EMWorkspace(std, maximal_intersections(std))
+    ws = EMWorkspace(std)
     spec = PenaltySpec(family=family, theta=theta,
                        alpha=1.5 if family == "mcp" else None)
     return ws, spec
@@ -474,7 +480,7 @@ def test_fit_permutation_invariance():
     out = []
     for d in (ds, ds_perm):
         std, _ = standardize(d)
-        ws = EMWorkspace(std, maximal_intersections(std))
+        ws = EMWorkspace(std)
         state, _ = fit_fixed_theta(ws, spec)
         out.append(state)
     assert np.max(np.abs(out[0].beta - out[1].beta)) < 1e-8
@@ -517,8 +523,7 @@ def test_truncated_zero_risk_cell_sets_lambda_zero():
         covariates=np.array([[0.2], [-0.1]]),
         truncation=[1.0, 4.5],
     )
-    supp = maximal_intersections(ds)
-    ws = EMWorkspace(ds, supp)
+    ws = EMWorkspace(ds)
     # cell (4.5, 6]-side risk set excludes subject 0 entirely past its window
     cache = estep(ws, np.zeros(1), np.full(ws.m, 0.4))
     lam, n_zero, _ = mstep_lambda(ws, cache, np.zeros(1))

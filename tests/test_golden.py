@@ -1,8 +1,8 @@
 """Golden regression fixture: path selections pinned before kernel changes.
 
-Three datasets are fitted with all four families, the way the campaign worker
-does it (one shared EMWorkspace, the lasso path reused as the adaptive-lasso
-pilot). For every family the fixture pins the selected index and the df column
+Three datasets are fitted with all four families by `fit_families` on one
+EMWorkspace, the way the campaign worker does it (the lasso path reused as the
+adaptive-lasso pilot). For every family the fixture pins the selected index and the df column
 exactly, the GIC column to 1e-8 relative and the selected beta to 1e-6.
 
 Regenerate (only when a change of results is intended) with
@@ -21,9 +21,8 @@ import pytest
 
 from icsel import Dataset, standardize
 from icsel.em import EMWorkspace
-from icsel.path import adaptive_lasso_pipeline, run_path
+from icsel.path import fit_families
 from icsel.simulate import make_replicate, replicate_seeds, scenario_from_preset
-from icsel.support import maximal_intersections
 
 FIXTURE = Path(__file__).with_name("golden.json")
 FAMILIES = ("lasso", "adaptive_lasso", "scad", "mcp")
@@ -83,19 +82,10 @@ DATASETS = {
 }
 
 
-def fit_families(dataset: Dataset) -> dict:
+def summarize_paths(dataset: Dataset) -> dict:
     std, _ = standardize(dataset)
-    support = maximal_intersections(std)
-    ws = EMWorkspace(std, support)
-    lasso = run_path(std, support, "lasso", workspace=ws)
     out = {}
-    for family in FAMILIES:
-        if family == "lasso":
-            res = lasso
-        elif family == "adaptive_lasso":
-            res = adaptive_lasso_pipeline(std, support, workspace=ws, lasso_path=lasso)
-        else:
-            res = run_path(std, support, family, workspace=ws)
+    for family, res in fit_families(EMWorkspace(std), FAMILIES).items():
         beta = res.selected_state.beta
         nz = np.flatnonzero(beta)
         out[family] = {
@@ -117,7 +107,7 @@ def golden():
 @pytest.mark.parametrize("name", sorted(DATASETS))
 def test_golden_paths(golden, name):
     dataset = DATASETS[name]()
-    got = fit_families(dataset)
+    got = summarize_paths(dataset)
     for family in FAMILIES:
         want, have = golden[name][family], got[family]
         assert have["selected"] == want["selected"], family
@@ -132,7 +122,7 @@ def test_golden_paths(golden, name):
 
 
 if __name__ == "__main__":
-    table = {name: fit_families(make()) for name, make in DATASETS.items()}
+    table = {name: summarize_paths(make()) for name, make in DATASETS.items()}
     with open(FIXTURE, "w") as fh:
         json.dump(table, fh, indent=1)
         fh.write("\n")

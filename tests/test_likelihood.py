@@ -8,7 +8,7 @@ import pytest
 from icsel import Dataset, ModelState, loglik
 from icsel.em import EMWorkspace
 from icsel.likelihood import _loglik_indexed, clamped_linpred, log1mexp
-from icsel.support import SupportSet, maximal_intersections
+from icsel.support import SupportSet
 
 from oracles import reference_loglik
 
@@ -178,8 +178,8 @@ def indexed(state, ws):
 def test_indexed_loglik_equals_loglik(truncated):
     rng = np.random.default_rng(31)
     ds = snp_intervals(rng, 200, 5, truncated)
-    ws = EMWorkspace(ds, maximal_intersections(ds))
-    assert ws.truncated == truncated
+    ws = EMWorkspace(ds)
+    assert ws.dataset.truncated == truncated
     for _ in range(3):
         st = ModelState(beta=rng.normal(scale=0.5, size=5),
                         lam=rng.uniform(0.0, 0.2, size=ws.m), support=ws.support)
@@ -189,7 +189,7 @@ def test_indexed_loglik_equals_loglik(truncated):
 def test_indexed_loglik_zero_bracket_mass_is_minus_inf():
     rng = np.random.default_rng(32)
     ds = snp_intervals(rng, 100, 3, True)
-    ws = EMWorkspace(ds, maximal_intersections(ds))
+    ws = EMWorkspace(ds)
     lam = np.full(ws.m, 0.1)
     i = int(np.flatnonzero(ws.ic)[0])
     lam[ws.c[i]:ws.d[i]] = 0.0
@@ -201,7 +201,7 @@ def test_indexed_loglik_zero_bracket_mass_is_minus_inf():
 def test_indexed_loglik_rejects_nonfinite_state():
     rng = np.random.default_rng(33)
     ds = snp_intervals(rng, 50, 2, False)
-    ws = EMWorkspace(ds, maximal_intersections(ds))
+    ws = EMWorkspace(ds)
     st = ModelState(beta=np.array([0.1, math.inf]), lam=np.full(ws.m, 0.1),
                     support=ws.support)
     with pytest.raises(ValueError, match="non-finite") as want:

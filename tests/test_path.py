@@ -9,14 +9,14 @@ import icsel.path
 from icsel import Dataset, standardize
 from icsel.em import EMWorkspace
 from icsel.path import (
-    adaptive_lasso_pipeline,
+    fit_families,
     gic,
     null_linearization,
     run_path,
     select_index,
     theta_grid,
 )
-from icsel.support import maximal_intersections
+from icsel.penalties import FAMILIES
 
 from test_golden import criterion2_dataset
 
@@ -148,22 +148,20 @@ def test_select_is_deterministic():
 
 def test_path_zero_df_at_first_theta_all_families():
     std, _ = strong_signal_dataset(1, n=120, p=20)
-    supp = maximal_intersections(std)
+    fits = fit_families(EMWorkspace(std), FAMILIES)
     for family in ("lasso", "scad", "mcp"):
-        res = run_path(std, supp, family)
+        res = fits[family]
         assert res.df[0] == 0
         assert np.count_nonzero(res.states[0].beta) == 0
         assert np.all(np.diff(res.thetas) < 0)
         assert len(res.states) == 101
         assert 0 <= res.selected < 101
-    ada = adaptive_lasso_pipeline(std, supp)
-    assert ada.df[0] == 0
+    assert fits["adaptive_lasso"].df[0] == 0
 
 
 def test_path_loglik_and_gic_consistent():
     std, _ = strong_signal_dataset(2, n=120, p=20)
-    supp = maximal_intersections(std)
-    res = run_path(std, supp, "lasso")
+    res = run_path(EMWorkspace(std), "lasso")
     n, p = 120, 20
     for r in (0, 37, 100):
         assert res.gic[r] == pytest.approx(
@@ -180,8 +178,7 @@ def test_path_unpenalized_covariate_not_counted_in_df():
         covariates=std.covariates,
         penalty_factors=[0.0] + [1.0] * 9,
     )
-    supp = maximal_intersections(ds)
-    res = run_path(ds, supp, "lasso")
+    res = run_path(EMWorkspace(ds), "lasso")
     # the unpenalized coordinate is fit by least squares at theta_max yet
     # contributes nothing to df
     assert res.df[0] == 0
@@ -190,9 +187,8 @@ def test_path_unpenalized_covariate_not_counted_in_df():
 
 def test_path_rerun_is_bit_identical():
     std, _ = strong_signal_dataset(4, n=100, p=12)
-    supp = maximal_intersections(std)
-    a = run_path(std, supp, "mcp")
-    b = run_path(std, supp, "mcp")
+    a = run_path(EMWorkspace(std), "mcp")
+    b = run_path(EMWorkspace(std), "mcp")
     assert a.selected == b.selected
     assert np.array_equal(a.thetas, b.thetas)
     assert np.array_equal(a.gic, b.gic)
@@ -205,8 +201,7 @@ def test_path_df_trend_mostly_monotone():
     """df is non-strictly increasing along the descending grid in >= 90% of
     adjacent pairs for the lasso."""
     std, _ = strong_signal_dataset(6, n=200, p=40)
-    supp = maximal_intersections(std)
-    res = run_path(std, supp, "lasso")
+    res = run_path(EMWorkspace(std), "lasso")
     diffs = np.diff(res.df)
     assert np.mean(diffs >= 0) >= 0.9
 
@@ -215,12 +210,10 @@ def test_path_warm_start_agrees_with_cold_start():
     """Fitting theta_2 cold reaches the same active set and nearly the same
     coefficients as the warm-started path fit."""
     from icsel import PenaltySpec, fit_fixed_theta
-    from icsel.em import EMWorkspace
 
     std, _ = strong_signal_dataset(7, n=150, p=10)
-    supp = maximal_intersections(std)
-    res = run_path(std, supp, "lasso")
-    ws = EMWorkspace(std, supp)
+    res = run_path(EMWorkspace(std), "lasso")
+    ws = EMWorkspace(std)
     spec = PenaltySpec(family="lasso", theta=float(res.thetas[1]))
     cold, _ = fit_fixed_theta(ws, spec)
     warm = res.states[1].beta
@@ -234,8 +227,7 @@ def test_mcp_path_recovers_strong_signal():
     hits = 0
     for seed in range(20):
         std, true = strong_signal_dataset(500 + seed)
-        supp = maximal_intersections(std)
-        res = run_path(std, supp, "mcp")
+        res = run_path(EMWorkspace(std), "mcp")
         sel = selected_support(res)
         if len(sel - true) + len(true - sel) <= 1:
             hits += 1
@@ -247,8 +239,7 @@ def test_adaptive_path_recovers_strong_signal():
     hits = 0
     for seed in range(20):
         std, true = strong_signal_dataset(500 + seed)
-        supp = maximal_intersections(std)
-        res = adaptive_lasso_pipeline(std, supp)
+        res = fit_families(EMWorkspace(std), ["adaptive_lasso"])["adaptive_lasso"]
         sel = selected_support(res)
         if len(sel - true) + len(true - sel) <= 1:
             hits += 1
@@ -261,10 +252,10 @@ def test_adaptive_path_recovers_strong_signal():
 
 def test_adaptive_pilot_zero_pins_coordinate():
     std, _ = strong_signal_dataset(8, n=200, p=30)
-    supp = maximal_intersections(std)
-    res = adaptive_lasso_pipeline(std, supp)
-    assert res.stage1 is not None and res.stage1.family == "lasso"
-    pilot = res.stage1.states[res.stage1.selected].beta
+    fits = fit_families(EMWorkspace(std), ["lasso", "adaptive_lasso"])
+    lasso, res = fits["lasso"], fits["adaptive_lasso"]
+    assert lasso.family == "lasso" and res.family == "adaptive_lasso"
+    pilot = lasso.states[lasso.selected].beta
     zeros = np.flatnonzero(pilot == 0.0)
     assert zeros.size > 0
     for state in res.states:
@@ -285,12 +276,11 @@ def test_adaptive_degenerates_on_empty_pilot():
     left[T > 1.5] = 1.5
     ds = Dataset(left=left, right=right, covariates=Z)
     std, _ = standardize(ds)
-    supp = maximal_intersections(std)
-    lasso = run_path(std, supp, "lasso")
+    fits = fit_families(EMWorkspace(std), ["lasso", "adaptive_lasso"])
+    lasso, res = fits["lasso"], fits["adaptive_lasso"]
     pilot = lasso.states[lasso.selected].beta
     if np.any(pilot != 0.0):
         pytest.skip("seed produced a nonempty pilot model")
-    res = adaptive_lasso_pipeline(std, supp, lasso_path=lasso)
     assert res.degenerate
     assert len(res.states) == 1
     assert np.all(res.states[0].beta == 0.0)
@@ -299,9 +289,8 @@ def test_adaptive_degenerates_on_empty_pilot():
 
 def test_adaptive_rerun_bit_identical():
     std, _ = strong_signal_dataset(10, n=120, p=15)
-    supp = maximal_intersections(std)
-    a = adaptive_lasso_pipeline(std, supp)
-    b = adaptive_lasso_pipeline(std, supp)
+    a = fit_families(EMWorkspace(std), ["adaptive_lasso"])["adaptive_lasso"]
+    b = fit_families(EMWorkspace(std), ["adaptive_lasso"])["adaptive_lasso"]
     assert a.selected == b.selected
     assert np.array_equal(a.states[a.selected].beta, b.states[b.selected].beta)
     assert np.array_equal(a.weights, b.weights)
@@ -319,46 +308,47 @@ def criterion2_workspace(unpenalized=False):
         ds = Dataset(left=ds.left, right=ds.right, covariates=ds.covariates,
                      penalty_factors=factors)
     std, _ = standardize(ds)
-    supp = maximal_intersections(std)
-    ws = EMWorkspace(std, supp)
+    ws = EMWorkspace(std)
     assert ws.pen_mask[0] == (not unpenalized)
-    return std, supp, ws
+    return ws
 
 
-def all_families(std, supp, ws):
-    lasso = run_path(std, supp, "lasso", workspace=ws)
-    return {
-        "lasso": lasso,
-        "adaptive_lasso": adaptive_lasso_pipeline(std, supp, workspace=ws, lasso_path=lasso),
-        "scad": run_path(std, supp, "scad", workspace=ws),
-        "mcp": run_path(std, supp, "mcp", workspace=ws),
-    }
+def counted(monkeypatch, name):
+    """Replace icsel.path.<name> by a wrapper; returns the list of its calls' arguments."""
+    calls = []
+    fn = getattr(icsel.path, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(icsel.path, name, wrapper)
+    return calls
 
 
 def test_one_baseline_fit_per_workspace(monkeypatch):
-    calls = []
-    fit = icsel.path.baseline_lambda_fit
-
-    def counted(ws):
-        calls.append(ws)
-        return fit(ws)
-
-    monkeypatch.setattr(icsel.path, "baseline_lambda_fit", counted)
-    std, supp, ws = criterion2_workspace()
-    all_families(std, supp, ws)
-    assert len(calls) == 1 and calls[0] is ws
+    calls = counted(monkeypatch, "baseline_lambda_fit")
+    ws = criterion2_workspace()
+    fit_families(ws, FAMILIES)
+    assert len(calls) == 1 and calls[0][0] is ws
 
 
 @pytest.mark.parametrize("unpenalized", [False, True])
-def test_shared_workspace_matches_fresh_workspaces(unpenalized):
-    std, supp, ws = criterion2_workspace(unpenalized)
-    shared = all_families(std, supp, ws)
-    fresh = {
-        "lasso": run_path(std, supp, "lasso"),
-        "adaptive_lasso": adaptive_lasso_pipeline(std, supp),
-        "scad": run_path(std, supp, "scad"),
-        "mcp": run_path(std, supp, "mcp"),
-    }
+def test_shared_workspace_matches_fresh_workspaces(unpenalized, monkeypatch):
+    """fit_families on one workspace gives the bits of separate run_path
+    calls on fresh workspaces; it fits the lasso path once, and every
+    workspace fits its null baseline at most once."""
+    paths = counted(monkeypatch, "run_path")
+    baselines = counted(monkeypatch, "baseline_lambda_fit")
+    ws = criterion2_workspace(unpenalized)
+    shared = fit_families(ws, FAMILIES)
+    assert [args[1] for args in paths] == ["lasso", "adaptive_lasso", "scad", "mcp"]
+    std = ws.dataset
+    fresh = {family: run_path(EMWorkspace(std), family) for family in ("lasso", "scad", "mcp")}
+    pilot = fresh["lasso"].selected_state.beta
+    fresh["adaptive_lasso"] = run_path(EMWorkspace(std), "adaptive_lasso", weights=np.abs(pilot))
+    assert len(baselines) == (0 if unpenalized else 5)
+    assert len({id(args[0]) for args in baselines}) == len(baselines)
     for family, a in shared.items():
         b = fresh[family]
         for name in ("thetas", "loglik", "df", "gic", "iterations", "converged"):
@@ -369,12 +359,13 @@ def test_shared_workspace_matches_fresh_workspaces(unpenalized):
         for sa, sb in zip(a.states, b.states):
             assert np.array_equal(sa.beta, sb.beta), family
             assert np.array_equal(sa.lam, sb.lam), family
+    assert np.array_equal(shared["adaptive_lasso"].weights, fresh["adaptive_lasso"].weights)
     if unpenalized:
         assert shared["lasso"].states[0].beta[0] != 0.0
 
 
 def test_null_fit_arrays_are_readonly():
-    std, supp, ws = criterion2_workspace()
+    ws = criterion2_workspace()
     assert ws.null_fit is None
     first = null_linearization(ws)
     assert null_linearization(ws) is first

@@ -55,7 +55,6 @@ def test_scenario_defaults_and_overrides():
     cfg = scenario_from_preset("t1", replicates=7, seed=42)
     assert (cfg.weibull_eta, cfg.weibull_kappa) == (1.2, 1.5)
     assert (cfg.maf_low, cfg.maf_high) == (0.05, 0.20)
-    assert cfg.num_inspections == 6
     assert cfg.replicates == 7 and cfg.seed == 42
     with pytest.raises(ValueError):
         scenario_from_preset("t9")
