@@ -15,11 +15,11 @@ import argparse
 import csv
 import dataclasses
 import functools
-import itertools
 import json
 import math
 import os
 import sys
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -86,6 +86,15 @@ def _csv_rows(path: Path):
                 yield reader.line_num, row
 
 
+def _first_row(path: Path):
+    """(line number, cells) of the first non-blank line; (None, None) if there is none."""
+    rows = _csv_rows(path)
+    try:
+        return next(rows, (None, None))
+    finally:
+        rows.close()
+
+
 def _floats(path: Path, lineno: int, row: list[str]) -> list[float]:
     """One row as floats; missing cells (empty, na, nan) become NaN."""
     try:
@@ -98,14 +107,40 @@ def _floats(path: Path, lineno: int, row: list[str]) -> list[float]:
         raise ParseError(f"{path}:{lineno}: {exc}") from exc
 
 
-def _read_numeric(path: Path, rows, width: int, allow_missing: bool = False) -> np.ndarray:
-    """The (line number, cells) rows as an (n, width) float array.
+def _loadtxt_table(path: Path, skip: int, width: int, allow_missing: bool) -> np.ndarray | None:
+    """The rows after the first `skip` lines by one np.loadtxt call, or None.
 
-    Malformed cells are reported before missing ones; missing cells are a
-    parse error unless allow_missing, when they stay NaN.
+    loadtxt converts each cell with the same PyOS_string_to_double as float(),
+    so a table it returns has the bits the row reader would give. None means
+    the file is left to the row reader: loadtxt rejected it, or its table is
+    empty, of the wrong width or holds a NaN that is not allowed.
     """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # loadtxt warns on an empty body
+            table = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, skiprows=skip)
+    except ValueError:
+        return None
+    if len(table) and table.shape[1] == width and (allow_missing or not np.isnan(table).any()):
+        return table
+    return None
+
+
+def _read_numeric(path: Path, skip: int, width: int, allow_missing: bool = False) -> np.ndarray:
+    """The rows after the first `skip` lines as an (n, width) float array.
+
+    A well-formed file is read by _loadtxt_table. Any other is read again row
+    by row, only to name the offending line: malformed cells are reported
+    before missing ones, and missing cells are a parse error unless
+    allow_missing, when they stay NaN.
+    """
+    table = _loadtxt_table(path, skip, width, allow_missing)
+    if table is not None:
+        return table
     linenos, values = [], []
-    for lineno, row in rows:
+    for lineno, row in _csv_rows(path):
+        if lineno <= skip:
+            continue
         if len(row) != width:
             raise ParseError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
         linenos.append(lineno)
@@ -123,8 +158,7 @@ def _read_numeric(path: Path, rows, width: int, allow_missing: bool = False) -> 
 def read_dataset_csv(path) -> tuple[Dataset, list[str]]:
     """Parse a dataset CSV; raises ParseError with a 1-based line number."""
     path = Path(path)
-    rows = _csv_rows(path)
-    lineno, header = next(rows, (None, None))
+    lineno, header = _first_row(path)
     if header is None:
         raise ParseError(f"{path}: empty file")
     header = [h.strip() for h in header]
@@ -137,7 +171,7 @@ def read_dataset_csv(path) -> tuple[Dataset, list[str]]:
     names = header[first_cov:]
     if not names:
         raise ParseError(f"{path}:{lineno}: no covariate columns found")
-    table = _read_numeric(path, rows, len(header))
+    table = _read_numeric(path, lineno, len(header))
     dataset = Dataset(
         left=table[:, 0],
         right=table[:, 1],
@@ -150,17 +184,16 @@ def read_dataset_csv(path) -> tuple[Dataset, list[str]]:
 def read_matrix_csv(path, allow_nan: bool = False) -> tuple[np.ndarray, list[str] | None]:
     """Numeric matrix CSV; a first row with a non-numeric cell is a header."""
     path = Path(path)
-    rows = _csv_rows(path)
-    lineno, first = next(rows, (None, None))
+    lineno, first = _first_row(path)
     if first is None:
         raise ParseError(f"{path}: empty file")
     try:
         _floats(path, lineno, first)
     except ParseError:
-        header = [c.strip() for c in first]
+        header, skip = [c.strip() for c in first], lineno
     else:
-        header, rows = None, itertools.chain([(lineno, first)], rows)
-    return _read_numeric(path, rows, len(first), allow_missing=allow_nan), header
+        header, skip = None, 0
+    return _read_numeric(path, skip, len(first), allow_missing=allow_nan), header
 
 
 def write_dataset_csv(path, dataset: Dataset, names: list[str] | None = None) -> None:

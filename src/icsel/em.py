@@ -14,7 +14,11 @@ iteration is:
 
 Per-subject support ranges are kept as index intervals into the sorted support
 points, so every E/M/surrogate quantity is a difference of prefix sums and one
-iteration costs O(n + m) plus the coordinate pass.
+iteration costs O(n + m) plus its O(np) products. The linear predictor Z beta
+is formed once per beta: the M-step's product is carried into the next E-step
+and the next coordinate pass. An iteration therefore forms three O(np)
+products, the coordinate scores, the curvatures and the M-step predictor, plus
+one correction for each coordinate that moves.
 """
 
 from __future__ import annotations
@@ -88,9 +92,16 @@ class EMWorkspace:
         self.pen_mask = (dataset.penalty_factors != 0) & ~self.pinned
         self.null_fit = None
 
-    def col_curvature(self, w: np.ndarray) -> np.ndarray:
-        """v_j = (1/n) sum_i w_i Z_ij^2 for every column at once."""
-        return (w @ self.zsq) / self.n
+    def scores(self, quad: SurrogateQuad) -> tuple[np.ndarray, np.ndarray]:
+        """Coordinate scores y and curvatures v of quad at its own beta.
+
+        y_j = (1/n) sum_i w_i (z_i - xb_i) Z_ij with z the working response
+        and xb = Z beta, v_j = (1/n) sum_i w_i Z_ij^2. The null linearization
+        and the coordinate pass share this kernel, so the theta_1 pass sees the
+        theta_max scores bitwise.
+        """
+        w = quad.weight
+        return (w * (quad.working_response - quad.xb)) @ self.Z / self.n, (w @ self.zsq) / self.n
 
     def _range_sums(self, start, stop, values) -> np.ndarray:
         """sum over subjects of values[i] spread across index range [start, stop)."""
@@ -110,9 +121,12 @@ class EStepCache:
     Ehat(W_ik) = lambda_k * g_i on bracket cells and 0 on the remaining risk
     cells, with g_i as in _bracket_jumps (right-censored subjects have no
     bracket cells). expected_counts[i] is subject i's row sum and
-    jump_numerators[k] = sum_i Ehat(W_ik) is column k's total.
+    jump_numerators[k] = sum_i Ehat(W_ik) is column k's total. xb is the
+    linear predictor Z beta and eta the same clamped to +-700; clamp_count
+    counts the clamped entries.
     """
 
+    xb: np.ndarray
     eta: np.ndarray
     exb: np.ndarray
     expected_counts: np.ndarray
@@ -122,8 +136,9 @@ class EStepCache:
 
 @dataclass
 class SurrogateQuad:
-    """Diagonal quadratic expansion of the profiled surrogate at eta."""
+    """Diagonal quadratic expansion of the profiled surrogate at eta (xb clamped)."""
 
+    xb: np.ndarray
     eta: np.ndarray
     weight: np.ndarray
     working_response: np.ndarray
@@ -132,6 +147,8 @@ class SurrogateQuad:
 
 @dataclass
 class FitDiagnostics:
+    """Per-fit counts; clamp_count counts each E-step's linear predictor once."""
+
     iterations: int = 0
     converged: bool = False
     final_reldist: float = math.inf
@@ -160,14 +177,22 @@ def _bracket_jumps(ws: EMWorkspace, lam: np.ndarray, exb_ic: np.ndarray | None =
     return mass, g, lam * ws._range_sums(ws.c_ic, ws.d_ic, g)
 
 
-def estep(ws: EMWorkspace, beta: np.ndarray, lam: np.ndarray) -> EStepCache:
-    """Conditional expectations of the latent Poisson counts (see _bracket_jumps)."""
-    eta, n_clamped = clamped_linpred(ws.Z, beta)
+def estep(
+    ws: EMWorkspace, beta: np.ndarray, lam: np.ndarray, xb: np.ndarray | None = None
+) -> EStepCache:
+    """Conditional expectations of the latent Poisson counts (see _bracket_jumps).
+
+    xb is Z @ beta when the caller already holds it; None forms it here.
+    """
+    if xb is None:
+        xb = ws.Z @ beta
+    eta, n_clamped = clamped_linpred(xb)
     exb = np.exp(eta)
     mass, g_ic, numer = _bracket_jumps(ws, lam, exb[ws.ic])
     expected = np.zeros(ws.n)
     expected[ws.ic] = mass * g_ic
     return EStepCache(
+        xb=xb,
         eta=eta,
         exb=exb,
         expected_counts=expected,
@@ -178,22 +203,23 @@ def estep(ws: EMWorkspace, beta: np.ndarray, lam: np.ndarray) -> EStepCache:
 
 def mstep_lambda(
     ws: EMWorkspace, cache: EStepCache, beta: np.ndarray
-) -> tuple[np.ndarray, int, int]:
+) -> tuple[np.ndarray, int, np.ndarray]:
     """Closed-form jump update lambda_k = N_k / S_k(beta).
 
-    Returns (lambda, zero-risk-set count, clamp count). A zero risk sum is
-    impossible without truncation (the subject whose finite R defines u_k is
-    at risk) and raises; with truncation it forces N_k = 0 and lambda_k = 0.
+    Returns (lambda, zero-risk-set count, xb = Z @ beta unclamped), the last
+    for the next E-step to reuse. A zero risk sum is impossible without
+    truncation (the subject whose finite R defines u_k is at risk) and raises;
+    with truncation it forces N_k = 0 and lambda_k = 0.
     """
-    eta, n_clamped = clamped_linpred(ws.Z, beta)
-    S = ws.risk_sums(np.exp(eta))
+    xb = ws.Z @ beta
+    S = ws.risk_sums(np.exp(clamped_linpred(xb)[0]))
     zero = S <= 0.0
     n_zero = int(np.count_nonzero(zero))
     if n_zero and not ws.dataset.truncated:
         raise NumericalError("zero risk sum on an untruncated support set")
     lam = np.zeros(ws.m)
     np.divide(cache.jump_numerators, S, out=lam, where=~zero)
-    return lam, n_zero, n_clamped
+    return lam, n_zero, xb
 
 
 def baseline_lambda_fit(
@@ -243,25 +269,27 @@ def surrogate(ws: EMWorkspace, cache: EStepCache) -> SurrogateQuad:
     weight = cache.exb * r1 - cache.exb * cache.exb * r2
     weight = np.maximum(weight, WEIGHT_FLOOR)
     working = cache.eta + grad / weight
-    return SurrogateQuad(eta=cache.eta, weight=weight, working_response=working, grad=grad)
+    return SurrogateQuad(
+        xb=cache.xb, eta=cache.eta, weight=weight, working_response=working, grad=grad
+    )
 
 
 def coordinate_descent_pass(
     ws: EMWorkspace, quad: SurrogateQuad, beta: np.ndarray, spec: PenaltySpec
 ) -> np.ndarray:
-    """One in-order cycle of penalized weighted-least-squares updates.
+    """One in-order cycle of penalized weighted-least-squares updates from
+    beta, the point at which quad was expanded.
 
-    y_j is assembled from a single upfront mat-vec plus one correction mat-vec
-    per coordinate that actually moved, so a pass costs O(np) once rather than
-    per coordinate. Unpenalized coordinates take the theta = 0 update; pinned
-    (constant) columns and columns with curvature below 1e-10 are skipped.
+    y_j is assembled from the scores of EMWorkspace.scores plus one correction
+    mat-vec per coordinate that actually moved, so a pass costs O(np) once
+    rather than per coordinate. Unpenalized coordinates take the theta = 0
+    update; pinned (constant) columns and columns with curvature below 1e-10
+    are skipped.
     """
     Z, n = ws.Z, ws.n
     w = quad.weight
     new = np.asarray(beta, dtype=float).copy()
-    r = quad.working_response - Z @ new
-    base = (w * r) @ Z / n
-    v = ws.col_curvature(w)
+    base, v = ws.scores(quad)
     corr = np.zeros(ws.p)
     weights = spec.weights
     penalized = ws.pen_mask
@@ -287,15 +315,18 @@ def fit_fixed_theta(
     spec: PenaltySpec,
     init_beta: np.ndarray | None = None,
     init_lam: np.ndarray | None = None,
+    init_xb: np.ndarray | None = None,
     max_iter: int = MAX_EM_ITERATIONS,
     tol: float = EM_RELDIST_TOL,
-) -> tuple[ModelState, FitDiagnostics]:
+) -> tuple[ModelState, FitDiagnostics, np.ndarray]:
     """Run the EM to convergence at one fixed theta.
 
     Stops when ||new - old||_2 / (||old||_2 + 1) over the stacked (beta,
     lambda) falls below tol, or after max_iter iterations. The objective is
     not evaluated; the caller scores the final state. One CD pass on a
-    diagonal surrogate does not guarantee monotone ascent.
+    diagonal surrogate does not guarantee monotone ascent. init_xb is Z @
+    init_beta when the caller holds it; the final state's Z @ beta is
+    returned with it for scoring and the next warm start.
     """
     beta = np.zeros(ws.p) if init_beta is None else np.asarray(init_beta, dtype=float).copy()
     lam = (
@@ -303,15 +334,15 @@ def fit_fixed_theta(
         if init_lam is None
         else np.asarray(init_lam, dtype=float).copy()
     )
+    xb = init_xb
     diag = FitDiagnostics()
     for iteration in range(1, max_iter + 1):
-        cache = estep(ws, beta, lam)
+        cache = estep(ws, beta, lam, xb)
         diag.clamp_count += cache.clamp_count
         quad = surrogate(ws, cache)
         beta_new = coordinate_descent_pass(ws, quad, beta, spec)
-        lam_new, n_zero, n_clamped = mstep_lambda(ws, cache, beta_new)
+        lam_new, n_zero, xb = mstep_lambda(ws, cache, beta_new)
         diag.zero_risk_sets += n_zero
-        diag.clamp_count += n_clamped
         num = math.sqrt(
             float(np.sum((beta_new - beta) ** 2)) + float(np.sum((lam_new - lam) ** 2))
         )
@@ -324,4 +355,4 @@ def fit_fixed_theta(
             diag.converged = True
             break
     state = ModelState(beta=beta, lam=lam, support=ws.support)
-    return state, diag
+    return state, diag, xb

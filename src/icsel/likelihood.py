@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
+from .errors import NumericalError
 from .support import SupportSet
 
 _LOG2 = math.log(2.0)
@@ -52,18 +53,18 @@ def log1mexp(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def clamped_linpred(Z: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, int]:
-    """beta'Z_i clamped to +-700 before exponentiation; returns the clamp count."""
-    eta = Z @ beta
-    n_clamped = int(np.count_nonzero(np.abs(eta) > LINPRED_CLAMP))
+def clamped_linpred(xb: np.ndarray) -> tuple[np.ndarray, int]:
+    """The linear predictor xb = Z beta clamped to +-700 before exponentiation,
+    with the clamp count; xb itself when nothing is clamped."""
+    n_clamped = int(np.count_nonzero(np.abs(xb) > LINPRED_CLAMP))
     if n_clamped:
-        eta = np.clip(eta, -LINPRED_CLAMP, LINPRED_CLAMP)
-    return eta, n_clamped
+        return np.clip(xb, -LINPRED_CLAMP, LINPRED_CLAMP), n_clamped
+    return xb, 0
 
 
 def _check_finite(state: ModelState):
     if not (np.all(np.isfinite(state.beta)) and np.all(np.isfinite(state.lam))):
-        raise ValueError("model state contains non-finite beta or lambda values")
+        raise NumericalError("model state contains non-finite beta or lambda values")
 
 
 def loglik(state: ModelState, dataset: Dataset) -> float:
@@ -75,8 +76,9 @@ def loglik(state: ModelState, dataset: Dataset) -> float:
     The linear predictor is clamped to +-700 as a safety valve for divergent
     intermediate iterates.
     """
+    _check_finite(state)
     indices = cell_indices(state.support.upper, dataset)
-    return _loglik_indexed(state, dataset.covariates, *indices)
+    return _loglik_indexed(state, dataset.covariates @ state.beta, *indices)
 
 
 def cell_indices(upper: np.ndarray, dataset: Dataset) -> tuple[np.ndarray, ...]:
@@ -97,20 +99,21 @@ def cell_indices(upper: np.ndarray, dataset: Dataset) -> tuple[np.ndarray, ...]:
 
 def _loglik_indexed(
     state: ModelState,
-    covariates: np.ndarray,
+    xb: np.ndarray,
     a: np.ndarray,
     c: np.ndarray,
     d: np.ndarray,
     ic: np.ndarray,
 ) -> float:
-    """loglik with each subject's support indices already known.
+    """loglik with the linear predictor xb = Z @ state.beta and each subject's
+    support indices already known.
 
     a, c and d index the first u_k past V_i0, L_i and R_i (d is read only
     where ic, the interval-censored mask), so Lambda at each endpoint is one
     lookup into the cumulative jump sums.
     """
     _check_finite(state)
-    eta, _ = clamped_linpred(covariates, state.beta)
+    eta, _ = clamped_linpred(xb)
     exb = np.exp(eta)
     cum = np.concatenate(([0.0], np.cumsum(state.lam)))
     at_left = cum[c]

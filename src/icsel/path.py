@@ -89,8 +89,9 @@ _RESTRICTED_THETA = 1e300
 
 def null_linearization(
     ws: EMWorkspace,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Coordinate scores y and curvatures v at the null model.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(y, v, lam0, beta0, xb0): scores and curvatures at the null model
+    (lam0, beta0), whose linear predictor is xb0 = Z @ beta0.
 
     Without unpenalized covariates the null model is beta = 0 with the
     baseline-only jump fit: the iterate after at most 5000 self-consistency
@@ -110,17 +111,14 @@ def null_linearization(
     free_unpenalized = ~ws.pen_mask & ~ws.pinned
     if np.any(free_unpenalized):
         spec = PenaltySpec(family="lasso", theta=_RESTRICTED_THETA)
-        state, _ = fit_fixed_theta(ws, spec)
+        state, _, xb0 = fit_fixed_theta(ws, spec)
         beta0, lam0 = state.beta, state.lam
     else:
-        beta0 = np.zeros(ws.p)
+        beta0, xb0 = np.zeros(ws.p), None
         lam0 = baseline_lambda_fit(ws)
-    cache = estep(ws, beta0, lam0)
-    quad = surrogate(ws, cache)
-    resid = quad.working_response - ws.Z @ beta0
-    y = (quad.weight * resid) @ ws.Z / ws.n
-    v = ws.col_curvature(quad.weight)
-    ws.null_fit = (y, v, lam0, beta0)
+    cache = estep(ws, beta0, lam0, xb0)
+    y, v = ws.scores(surrogate(ws, cache))
+    ws.null_fit = (y, v, lam0, beta0, cache.xb)
     for arr in ws.null_fit:
         arr.setflags(write=False)
     return ws.null_fit
@@ -155,7 +153,7 @@ def run_path(
     check_gic_defined(ws.n, ws.p)
     if alpha is None:
         alpha = DEFAULT_ALPHA.get(family)
-    y0, v0, lam0, beta0 = null_linearization(ws)
+    y0, v0, lam0, beta0, xb = null_linearization(ws)
     tmax = theta_max(family, y0, v0, weights=weights, alpha=alpha, penalized=ws.pen_mask)
     grid = theta_grid(tmax, family)
     states: list[ModelState] = []
@@ -173,7 +171,7 @@ def run_path(
             spec = PenaltySpec(family="lasso", theta=_RESTRICTED_THETA)
         else:
             spec = PenaltySpec(family=family, theta=float(theta), alpha=alpha, weights=weights)
-        state, diag = fit_fixed_theta(ws, spec, beta, lam)
+        state, diag, xb = fit_fixed_theta(ws, spec, beta, lam, xb)
         beta, lam = state.beta, state.lam
         nnz = int(np.count_nonzero(state.beta[ws.pen_mask]))
         if r == 0 and nnz != 0:
@@ -182,7 +180,7 @@ def run_path(
             )
         states.append(state)
         # rejects a non-finite state too
-        lls[r] = _loglik_indexed(state, ws.Z, ws.a, ws.c, ws.d, ws.ic)
+        lls[r] = _loglik_indexed(state, xb, ws.a, ws.c, ws.d, ws.ic)
         dfs[r] = nnz
         iters[r] = diag.iterations
         conv[r] = diag.converged

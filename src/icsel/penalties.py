@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericalError
+
 FAMILIES = ("lasso", "adaptive_lasso", "scad", "mcp")
 DEFAULT_ALPHA = {"scad": 2.5, "mcp": 1.5}
 
@@ -173,7 +175,7 @@ def theta_max(
     ay = np.abs(y[penalized])
     av = v[penalized]
     if ay.size == 0 or not np.any(ay > 0):
-        raise ValueError("degenerate null fit: all linearized scores are zero")
+        raise NumericalError("degenerate null fit: all linearized scores are zero")
     if family == "lasso":
         return float(ay.max())
     if family == "adaptive_lasso":
@@ -182,7 +184,7 @@ def theta_max(
         w = np.asarray(weights, dtype=float)[penalized]
         val = float((ay * w).max())
         if val <= 0:
-            raise ValueError("degenerate null fit: all adaptive weights are zero")
+            raise NumericalError("degenerate null fit: all adaptive weights are zero")
         return val
     if alpha is None:
         alpha = DEFAULT_ALPHA[family]

@@ -8,10 +8,14 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import icsel
 import icsel.path
@@ -136,6 +140,89 @@ def test_missing_required_column_is_parse_error(tmp_path):
     assert rc == 2
 
 
+# ---------------------------------------------------------------------------
+# the loadtxt table against the row reader
+
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from([
+        "+1.5", "-0.0", ".5", "5.", "1e3", "-2.5E-3", "+1e+2", "1e400", "-1e400",
+        "1e-400", "inf", "-inf", "Infinity", "-Infinity", "INF", " 1.5", "1.5 ", "\t2",
+    ]),
+)
+_CELLS = st.one_of(_NUMBERS, st.sampled_from([
+    "1_0", "na", "NA", "nan", "NaN", "-nan", "", " ", "x", "1.5x",
+    '"1.5"', '" 2 "', '"1,5"', "#3", "0x10", "1e", "--1",
+]))
+_BLANKS = st.sampled_from(["", "  ", "\t", " \t "])
+
+
+@st.composite
+def _csv_files(draw):
+    """(text, dataset?, allow_nan): a header, rows of mixed cells, blank lines."""
+    dataset = draw(st.booleans())
+    width = draw(st.integers(3, 5) if dataset else st.integers(1, 4))
+    lines = [draw(_BLANKS) for _ in range(draw(st.integers(0, 1)))]
+    if dataset:
+        trunc = ["trunc"] if draw(st.booleans()) else []
+        lines.append(",".join(["left", "right", *trunc] + [f"z{j}" for j in range(width - 2 - len(trunc))]))
+    elif draw(st.booleans()):
+        lines.append(",".join(f"c{j}" for j in range(width)))
+    cells = _NUMBERS if draw(st.booleans()) else _CELLS
+    for row in draw(st.lists(st.lists(cells, min_size=1, max_size=4), max_size=5)):
+        kind = draw(st.sampled_from(["row"] * 6 + ["short", "blank", "trailing"]))
+        if kind == "blank":
+            lines.append(draw(_BLANKS))
+            continue
+        line = ",".join(row[j % len(row)] for j in range(width - (kind == "short")))
+        lines.append(line + ("," if kind == "trailing" else ""))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    tail = end if draw(st.booleans()) else ""
+    return end.join(lines) + tail, dataset, draw(st.booleans())
+
+
+def _read(path, dataset, allow_nan):
+    """The parsed table, or the text of the ParseError."""
+    try:
+        if dataset:
+            ds, names = read_dataset_csv(path)
+            return np.column_stack((ds.left, ds.right, ds.truncation, ds.covariates)), names
+        return read_matrix_csv(path, allow_nan=allow_nan)
+    except cli.ParseError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_csv_files())
+def test_loadtxt_table_matches_row_reader(case):
+    """Either reader gives an array_equal table or the same ParseError text;
+    `1_0` is the one cell that float accepts and loadtxt rejects."""
+    text, dataset, allow_nan = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.csv")
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        fast = _read(path, dataset, allow_nan)
+        with mock.patch.object(cli, "_loadtxt_table", return_value=None):
+            rows = _read(path, dataset, allow_nan)
+    if isinstance(rows, str):
+        assert fast == rows
+    else:
+        assert not isinstance(fast, str), fast
+        assert np.array_equal(fast[0], rows[0], equal_nan=True)
+        assert fast[1] == rows[1]
+
+
+def test_loadtxt_reads_well_formed_files(tmp_path):
+    """Well-formed files never reach the row reader, CRLF and blank lines included."""
+    f = tmp_path / "ok.csv"
+    f.write_bytes(b"\r\nleft,right,z1,z2\r\n0.5,1.0,-1e-3,1\r\n\r\n0.5,inf,+2,0\r\n")
+    with mock.patch.object(cli, "_csv_rows", side_effect=AssertionError("row reader used")):
+        table = cli._read_numeric(f, 2, 4)
+    assert np.array_equal(table, [[0.5, 1.0, -1e-3, 1.0], [0.5, math.inf, 2.0, 0.0]])
+
+
 def test_validation_error_exit_code(tmp_path, capsys):
     f = tmp_path / "bad.csv"
     f.write_text("left,right,z1,z2\n2.0,1.0,0.5,1\n0.5,2.0,1.0,0\n1.0,3.0,0.0,1\n")
@@ -200,6 +287,38 @@ def test_numerical_error_exit_code(tmp_path, capsys):
                "--output-path", str(tmp_path / "p.csv")])
     assert rc == 5
     assert capsys.readouterr().err != ""
+
+
+def test_degenerate_null_fit_is_numerical_error(tmp_path, capsys):
+    # constant covariates are pinned by standardization, so no penalized
+    # score exists and theta_max is undefined
+    f = tmp_path / "const.csv"
+    f.write_text("left,right,z1,z2\n0.5,1.0,1,2\n0.5,2.0,1,2\n1.0,3.0,1,2\n0.2,inf,1,2\n")
+    rc = main(["fit", "--input", str(f), "--family", "lasso",
+               "--output-model", str(tmp_path / "m.json"),
+               "--output-path", str(tmp_path / "p.csv")])
+    assert rc == 5
+    assert capsys.readouterr().err == (
+        "numerical failure: degenerate null fit: all linearized scores are zero\n")
+
+
+def test_nonfinite_fit_is_numerical_error(tmp_path, capsys, monkeypatch):
+    fit = icsel.path.fit_fixed_theta
+
+    def nan_lambda(*args, **kwargs):
+        state, diag, xb = fit(*args, **kwargs)
+        state.lam[-1] = math.nan
+        return state, diag, xb
+
+    monkeypatch.setattr(icsel.path, "fit_fixed_theta", nan_lambda)
+    f = tmp_path / "data.csv"
+    write_signal_csv(f)
+    rc = main(["fit", "--input", str(f), "--family", "lasso",
+               "--output-model", str(tmp_path / "m.json"),
+               "--output-path", str(tmp_path / "p.csv")])
+    assert rc == 5
+    assert capsys.readouterr().err == (
+        "numerical failure: model state contains non-finite beta or lambda values\n")
 
 
 def test_positive_trunc_without_flag_is_validation_error(tmp_path, capsys):

@@ -136,6 +136,7 @@ def test_empty_truncated_bracket_rejected_at_workspace():
 def synthetic_cache(ws, numerators, beta):
     eta = ws.Z @ beta
     return EStepCache(
+        xb=eta,
         eta=eta,
         exb=np.exp(eta),
         expected_counts=np.zeros(ws.n),
@@ -433,9 +434,9 @@ def fit_instance(rng, n, p, beta_true, theta, family="lasso"):
 def test_fit_converges_in_one_iteration_at_fixed_point():
     rng = np.random.default_rng(20)
     ws, spec = fit_instance(rng, 40, 2, np.array([1.0, 0.0]), theta=0.08)
-    state, diag = fit_fixed_theta(ws, spec)
+    state, diag, _ = fit_fixed_theta(ws, spec)
     assert diag.converged
-    again, diag2 = fit_fixed_theta(ws, spec, init_beta=state.beta, init_lam=state.lam)
+    again, diag2, _ = fit_fixed_theta(ws, spec, init_beta=state.beta, init_lam=state.lam)
     assert diag2.iterations == 1
     assert diag2.converged
 
@@ -447,7 +448,7 @@ def test_fit_recovers_strong_signal_sign():
     for seed in range(20):
         rng = np.random.default_rng(100 + seed)
         ws, spec = fit_instance(rng, 60, 2, np.array([1.5, 0.0]), theta=0.05)
-        state, _ = fit_fixed_theta(ws, spec)
+        state, _, _ = fit_fixed_theta(ws, spec)
         hits += state.beta[0] > 0
     assert hits >= 18
 
@@ -460,7 +461,7 @@ def test_fit_zero_signal_stays_empty():
         rng = np.random.default_rng(300 + seed)
         ws, _ = fit_instance(rng, 200, 50, np.zeros(50), theta=1.0)
         spec = PenaltySpec(family="lasso", theta=0.25)
-        state, _ = fit_fixed_theta(ws, spec)
+        state, _, _ = fit_fixed_theta(ws, spec)
         hits += int(np.count_nonzero(state.beta) == 0)
     assert hits >= 18
 
@@ -481,7 +482,7 @@ def test_fit_permutation_invariance():
     for d in (ds, ds_perm):
         std, _ = standardize(d)
         ws = EMWorkspace(std)
-        state, _ = fit_fixed_theta(ws, spec)
+        state, _, _ = fit_fixed_theta(ws, spec)
         out.append(state)
     assert np.max(np.abs(out[0].beta - out[1].beta)) < 1e-8
     assert np.max(np.abs(out[0].lam - out[1].lam)) < 1e-8
@@ -499,7 +500,7 @@ def test_objective_mostly_monotone():
                                 theta=0.04, family="mcp")
         beta = lam = prev = None
         for _ in range(MAX_EM_ITERATIONS):
-            state, diag = fit_fixed_theta(ws, spec, beta, lam, max_iter=1)
+            state, diag, _ = fit_fixed_theta(ws, spec, beta, lam, max_iter=1)
             beta, lam = state.beta, state.lam
             penalty = sum(reference_penalty(spec.family, spec.theta, spec.alpha, b)
                           for b in beta[ws.pen_mask])
@@ -512,6 +513,24 @@ def test_objective_mostly_monotone():
                 break
     assert steps > 0
     assert violations <= 0.05 * steps
+
+
+def test_clamp_count_counts_each_linear_predictor_once():
+    """Two right-censored subjects with z = -1000 put eta below -700 near
+    beta = 1, where the z = 1 subjects hold beta. Each E-step counts its
+    clamps; the M-step product that the next E-step reuses is not counted a
+    second time."""
+    ws = workspace([0.5, 1.0, 0.2, 1.5, 2.0], [1.5, 2.5, math.inf, math.inf, 3.0],
+                   [[1.0], [1.0], [-1000.0], [-1000.0], [0.0]])
+    spec = PenaltySpec(family="lasso", theta=0.0)
+    start = np.array([1.0])
+    state, diag, xb = fit_fixed_theta(ws, spec, init_beta=start, max_iter=1)
+    assert np.array_equal(xb, ws.Z @ state.beta)
+    assert np.count_nonzero(np.abs(xb) > 700.0) == 2
+    assert diag.clamp_count == 2
+    _, diag, _ = fit_fixed_theta(ws, spec, init_beta=start, max_iter=2, tol=0.0)
+    assert diag.iterations == 2
+    assert diag.clamp_count == 4
 
 
 def test_truncated_zero_risk_cell_sets_lambda_zero():

@@ -8,6 +8,7 @@ import pytest
 import icsel.path
 from icsel import Dataset, standardize
 from icsel.em import EMWorkspace
+from icsel.likelihood import loglik
 from icsel.path import (
     fit_families,
     gic,
@@ -18,6 +19,7 @@ from icsel.path import (
 )
 from icsel.penalties import FAMILIES
 
+from test_golden import DATASETS as GOLDEN_DATASETS
 from test_golden import criterion2_dataset
 
 
@@ -215,7 +217,7 @@ def test_path_warm_start_agrees_with_cold_start():
     res = run_path(EMWorkspace(std), "lasso")
     ws = EMWorkspace(std)
     spec = PenaltySpec(family="lasso", theta=float(res.thetas[1]))
-    cold, _ = fit_fixed_theta(ws, spec)
+    cold, _, _ = fit_fixed_theta(ws, spec)
     warm = res.states[1].beta
     assert set(np.flatnonzero(cold.beta)) == set(np.flatnonzero(warm))
     assert np.max(np.abs(cold.beta - warm)) < 1e-2
@@ -373,3 +375,12 @@ def test_null_fit_arrays_are_readonly():
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 1.0
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DATASETS))
+def test_path_loglik_equals_recomputed_loglik(name):
+    """Each grid point is scored from the linear predictor that its fit
+    carried; that changes no bits against loglik, which forms Z @ beta anew."""
+    std, _ = standardize(GOLDEN_DATASETS[name]())
+    for family, res in fit_families(EMWorkspace(std), FAMILIES).items():
+        assert np.array_equal(res.loglik, [loglik(state, std) for state in res.states]), family

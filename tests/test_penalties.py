@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from icsel import PenaltySpec, penalty_value, soft_threshold, theta_max, univariate_solve
+from icsel.errors import NumericalError
 
 from oracles import grid_minimize, objective_value, reference_penalty
 
@@ -166,7 +167,7 @@ def test_theta_max_respects_penalized_mask():
 
 
 def test_theta_max_zero_score_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(NumericalError, match="degenerate null fit"):
         theta_max("lasso", np.zeros(3), np.ones(3))
 
 
