@@ -600,7 +600,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (ValidationError, ValueError) as exc:
+    except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 3
     except DegenerateSupportError as exc:

@@ -62,11 +62,6 @@ def clamped_linpred(xb: np.ndarray) -> tuple[np.ndarray, int]:
     return xb, 0
 
 
-def _check_finite(state: ModelState):
-    if not (np.all(np.isfinite(state.beta)) and np.all(np.isfinite(state.lam))):
-        raise NumericalError("model state contains non-finite beta or lambda values")
-
-
 def loglik(state: ModelState, dataset: Dataset) -> float:
     """Observed-data log likelihood in jump-size form.
 
@@ -76,7 +71,6 @@ def loglik(state: ModelState, dataset: Dataset) -> float:
     The linear predictor is clamped to +-700 as a safety valve for divergent
     intermediate iterates.
     """
-    _check_finite(state)
     indices = cell_indices(state.support.upper, dataset)
     return _loglik_indexed(state, dataset.covariates @ state.beta, *indices)
 
@@ -110,9 +104,11 @@ def _loglik_indexed(
 
     a, c and d index the first u_k past V_i0, L_i and R_i (d is read only
     where ic, the interval-censored mask), so Lambda at each endpoint is one
-    lookup into the cumulative jump sums.
+    lookup into the cumulative jump sums. A non-finite beta or lambda raises
+    NumericalError.
     """
-    _check_finite(state)
+    if not (np.all(np.isfinite(state.beta)) and np.all(np.isfinite(state.lam))):
+        raise NumericalError("model state contains non-finite beta or lambda values")
     eta, _ = clamped_linpred(xb)
     exb = np.exp(eta)
     cum = np.concatenate(([0.0], np.cumsum(state.lam)))

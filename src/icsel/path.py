@@ -14,12 +14,12 @@ are excluded from selection (they still seed the next warm start).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .em import EMWorkspace, baseline_lambda_fit, estep, fit_fixed_theta, surrogate
-from .errors import NumericalError
+from .em import EMWorkspace, FitDiagnostics, baseline_lambda_fit, estep, fit_fixed_theta, surrogate
+from .errors import NumericalError, ValidationError
 from .likelihood import ModelState, _loglik_indexed
 from .penalties import DEFAULT_ALPHA, PenaltySpec, theta_max
 
@@ -30,7 +30,7 @@ EPSILON = {"lasso": 0.05, "scad": 0.05, "mcp": 0.05, "adaptive_lasso": 1e-4}
 def theta_grid(theta_max_value: float, family: str) -> np.ndarray:
     """101-point geometric grid theta_r = theta_max * eps^{(r-1)/100}."""
     if not theta_max_value > 0:
-        raise ValueError("theta_max must be positive")
+        raise NumericalError("theta_max must be positive")
     eps = EPSILON[family]
     exponents = np.arange(GRID_SIZE) / (GRID_SIZE - 1)
     grid = theta_max_value * eps**exponents
@@ -40,11 +40,11 @@ def theta_grid(theta_max_value: float, family: str) -> np.ndarray:
 
 
 def check_gic_defined(n: int, p: int) -> None:
-    """Raise ValueError unless GIC is defined: n > e and p >= 2."""
+    """Raise ValidationError unless GIC is defined: n > e and p >= 2."""
     if n <= math.e:
-        raise ValueError("gic needs n > e so that log(log n) is positive")
+        raise ValidationError("gic needs n > e so that log(log n) is positive")
     if p < 2:
-        raise ValueError("gic needs p >= 2")
+        raise ValidationError("gic needs p >= 2")
 
 
 def gic(loglik_value: float, df: int, n: int, p: int) -> float:
@@ -54,28 +54,57 @@ def gic(loglik_value: float, df: int, n: int, p: int) -> float:
 
 
 @dataclass
-class PathResult:
-    """Per-theta fits, scores and diagnostics, plus the selected index.
+class GridFit:
+    """One grid point of a path: the fit at theta, its EM diagnostics, the
+    observed-data log likelihood and df, the count of nonzero penalized
+    coefficients."""
 
-    A degenerate adaptive-lasso stage (empty pilot model) is represented by a
-    single-state result with `degenerate` set; the usual 101-point invariants
-    do not apply there.
+    theta: float
+    state: ModelState
+    diag: FitDiagnostics
+    loglik: float
+    df: int
+
+
+@dataclass
+class PathResult:
+    """One GridFit per theta, with the columns, GIC scores and selected index
+    built from them; n and p are the dataset's, for GIC.
+
+    A degenerate adaptive-lasso stage (empty pilot model) is a one-record
+    path with `degenerate` set; the usual 101-point invariants do not apply
+    there.
     """
 
     family: str
     alpha: float | None
     theta_max: float
-    thetas: np.ndarray
-    states: list[ModelState]
-    loglik: np.ndarray
-    df: np.ndarray
-    gic: np.ndarray
-    iterations: np.ndarray
-    converged: np.ndarray
-    selected: int
+    fits: list[GridFit]
+    n: InitVar[int]
+    p: InitVar[int]
     warnings: list[str] = field(default_factory=list)
     weights: np.ndarray | None = None
     degenerate: bool = False
+    thetas: np.ndarray = field(init=False)
+    states: list[ModelState] = field(init=False)
+    loglik: np.ndarray = field(init=False)
+    df: np.ndarray = field(init=False)
+    gic: np.ndarray = field(init=False)
+    iterations: np.ndarray = field(init=False)
+    converged: np.ndarray = field(init=False)
+    selected: int = field(init=False)
+
+    def __post_init__(self, n: int, p: int):
+        fits = self.fits
+        self.thetas = np.array([f.theta for f in fits])
+        self.states = [f.state for f in fits]
+        self.loglik = np.array([f.loglik for f in fits])
+        self.df = np.array([f.df for f in fits])
+        self.gic = np.array([gic(f.loglik, f.df, n, p) for f in fits])
+        self.iterations = np.array([f.diag.iterations for f in fits])
+        self.converged = np.array([f.diag.converged for f in fits])
+        self.selected, warnings = select_index(self.gic, self.converged)
+        self.warnings = self.warnings + warnings
 
     @property
     def selected_state(self) -> ModelState:
@@ -156,14 +185,9 @@ def run_path(
     y0, v0, lam0, beta0, xb = null_linearization(ws)
     tmax = theta_max(family, y0, v0, weights=weights, alpha=alpha, penalized=ws.pen_mask)
     grid = theta_grid(tmax, family)
-    states: list[ModelState] = []
-    lls = np.empty(GRID_SIZE)
-    dfs = np.empty(GRID_SIZE, dtype=int)
-    iters = np.empty(GRID_SIZE, dtype=int)
-    conv = np.empty(GRID_SIZE, dtype=bool)
+    fits: list[GridFit] = []
     restricted_first = bool(np.any(beta0 != 0.0))
-    beta = beta0
-    lam = lam0
+    beta, lam = beta0, lam0
     for r, theta in enumerate(grid):
         if r == 0 and restricted_first:
             # theta_max anchors at the restricted null, so the theta_1 fit
@@ -178,31 +202,11 @@ def run_path(
             raise NumericalError(
                 f"theta_max fit returned {nnz} nonzero penalized coefficients"
             )
-        states.append(state)
         # rejects a non-finite state too
-        lls[r] = _loglik_indexed(state, xb, ws.a, ws.c, ws.d, ws.ic)
-        dfs[r] = nnz
-        iters[r] = diag.iterations
-        conv[r] = diag.converged
-    gics = np.array(
-        [gic(lls[r], int(dfs[r]), ws.n, ws.p) for r in range(GRID_SIZE)]
-    )
-    selected, warnings = select_index(gics, conv)
-    return PathResult(
-        family=family,
-        alpha=alpha,
-        theta_max=float(tmax),
-        thetas=grid,
-        states=states,
-        loglik=lls,
-        df=dfs,
-        gic=gics,
-        iterations=iters,
-        converged=conv,
-        selected=selected,
-        warnings=warnings,
-        weights=None if weights is None else np.asarray(weights, dtype=float),
-    )
+        ll = _loglik_indexed(state, xb, ws.a, ws.c, ws.d, ws.ic)
+        fits.append(GridFit(float(theta), state, diag, ll, nnz))
+    weights = None if weights is None else np.asarray(weights, dtype=float)
+    return PathResult(family, alpha, float(tmax), fits, ws.n, ws.p, weights=weights)
 
 
 def fit_families(ws: EMWorkspace, families, alpha: float | None = None) -> dict[str, PathResult]:
@@ -229,19 +233,9 @@ def _adaptive_lasso_path(ws: EMWorkspace, lasso: PathResult) -> PathResult:
     w = np.abs(lasso.selected_state.beta)
     if np.any(w[ws.pen_mask] > 0):
         return run_path(ws, "adaptive_lasso", weights=w)
+    first = lasso.fits[0]
+    record = GridFit(math.nan, first.state, FitDiagnostics(converged=True), first.loglik, 0)
     return PathResult(
-        family="adaptive_lasso",
-        alpha=None,
-        theta_max=math.nan,
-        thetas=np.array([math.nan]),
-        states=[lasso.states[0]],
-        loglik=np.array([lasso.loglik[0]]),
-        df=np.array([0]),
-        gic=np.array([lasso.gic[0]]),
-        iterations=np.array([0]),
-        converged=np.array([True]),
-        selected=0,
+        "adaptive_lasso", None, math.nan, [record], ws.n, ws.p, weights=w, degenerate=True,
         warnings=["lasso stage selected the empty model; adaptive stage degenerate"],
-        weights=w,
-        degenerate=True,
     )

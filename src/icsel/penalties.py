@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import NumericalError, ValidationError
 
 FAMILIES = ("lasso", "adaptive_lasso", "scad", "mcp")
 DEFAULT_ALPHA = {"scad": 2.5, "mcp": 1.5}
@@ -40,17 +40,17 @@ class PenaltySpec:
 
     def __post_init__(self):
         if self.family not in FAMILIES:
-            raise ValueError(f"unknown penalty family {self.family!r}")
+            raise ValidationError(f"unknown penalty family {self.family!r}")
         if self.theta < 0:
-            raise ValueError("theta must be nonnegative")
+            raise ValidationError("theta must be nonnegative")
         alpha = self.alpha
         if alpha is None and self.family in DEFAULT_ALPHA:
             alpha = DEFAULT_ALPHA[self.family]
             object.__setattr__(self, "alpha", alpha)
         if self.family == "scad" and not alpha > 2:
-            raise ValueError("scad requires alpha > 2")
+            raise ValidationError("scad requires alpha > 2")
         if self.family == "mcp" and not alpha > 1:
-            raise ValueError("mcp requires alpha > 1")
+            raise ValidationError("mcp requires alpha > 1")
         if self.family == "adaptive_lasso":
             if self.weights is None:
                 raise ValueError("adaptive_lasso requires weights")
@@ -73,7 +73,7 @@ def soft_threshold(x: float, t: float) -> float:
 def penalty_value(spec: PenaltySpec, b: float, weight: float | None = None) -> float:
     """p_{theta,alpha}(|b|); adaptive lasso divides theta by the coordinate weight."""
     if not np.isfinite(b):
-        raise ValueError("penalty_value needs a finite argument")
+        raise NumericalError("penalty_value needs a finite argument")
     if spec.family == "adaptive_lasso":
         if weight is None:
             raise ValueError("adaptive_lasso penalty needs the coordinate weight")
@@ -110,7 +110,7 @@ def _best_candidate(spec: PenaltySpec, y: float, v: float, candidates) -> float:
 def univariate_solve(spec: PenaltySpec, y: float, v: float, weight: float | None = None) -> float:
     """Global minimizer of 0.5 v (y/v - b)^2 + p_{theta,alpha}(|b|)."""
     if not v > 0:
-        raise ValueError("univariate_solve requires v > 0")
+        raise NumericalError("univariate_solve requires v > 0")
     if y == 0.0:
         return 0.0
     theta, alpha, family = spec.theta, spec.alpha, spec.family

@@ -23,6 +23,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .data import Dataset
+from .errors import ValidationError
 
 BETA6 = np.array([-1.40, -0.83, -1.64, 0.69, 1.39, 1.65])
 BETA12 = np.concatenate([BETA6, [-0.52, 0.86, -1.23, 1.18, -1.97, -1.68]])
@@ -49,11 +50,20 @@ class ScenarioConfig:
     maf_low: float = 0.05
     maf_high: float = 0.20
 
+    def __post_init__(self):
+        if self.replicates < 1:
+            raise ValidationError(f"replicates must be at least 1, got {self.replicates}")
+        if not 0.0 <= self.rho < 1.0:
+            raise ValidationError(f"rho must lie in [0, 1), got {self.rho}")
+        head = _BETA_BY_NAME.get(self.beta)
+        if head is None:
+            raise ValidationError(f"beta must be b6 or b12, got {self.beta!r}")
+        if self.p < head.size:
+            raise ValidationError(f"p must be at least {head.size} for {self.beta}, got {self.p}")
+
     def beta_true(self) -> np.ndarray:
         """True coefficient vector: the preset at the leading coordinates."""
         head = _BETA_BY_NAME[self.beta]
-        if self.p < head.size:
-            raise ValueError("p is smaller than the preset signal length")
         out = np.zeros(self.p)
         out[: head.size] = head
         return out
@@ -75,7 +85,7 @@ PRESETS: dict[str, dict] = {
 
 def scenario_from_preset(name: str, **overrides) -> ScenarioConfig:
     if name not in PRESETS:
-        raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
+        raise ValidationError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
     params = dict(PRESETS[name])
     params.update(overrides)
     return ScenarioConfig(**params)

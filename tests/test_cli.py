@@ -231,15 +231,18 @@ def test_validation_error_exit_code(tmp_path, capsys):
                "--output-path", str(tmp_path / "p.csv")])
     assert rc == 3
     assert "left >= right" in capsys.readouterr().err
-    # --alpha shapes only scad and mcp; elsewhere it is rejected, not ignored
+    # --alpha shapes only scad and mcp; elsewhere it is rejected, not ignored,
+    # and so is a value outside the family's range
     good = tmp_path / "good.csv"
     good.write_text("left,right,z1,z2\n0.5,1.0,0.5,1\n0.5,2.0,1.0,0\n1.0,3.0,0.0,1\n")
-    for family, alpha in (("lasso", "3"), ("adaptive-lasso", "0.5")):
+    only = "--alpha applies only to scad and mcp"
+    for family, alpha, message in (("lasso", "3", only), ("adaptive-lasso", "0.5", only),
+                                   ("scad", "2", "scad requires alpha > 2")):
         rc = main(["fit", "--input", str(good), "--family", family, "--alpha", alpha,
                    "--output-model", str(tmp_path / "m.json"),
                    "--output-path", str(tmp_path / "p.csv")])
         assert rc == 3
-        assert "--alpha applies only to scad and mcp" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"validation error: {message}\n"
     assert not (tmp_path / "m.json").exists()
 
 
@@ -319,6 +322,42 @@ def test_nonfinite_fit_is_numerical_error(tmp_path, capsys, monkeypatch):
     assert rc == 5
     assert capsys.readouterr().err == (
         "numerical failure: model state contains non-finite beta or lambda values\n")
+
+
+# z1 = +-1e154: its squares overflow, so the fit itself breaks down
+OVERFLOW_CSV = "left,right,z1,z2\n" + "".join(
+    f"{0.5 * (i % 4)},{'inf' if i % 3 == 0 else 0.5 * (i % 4) + 1.0},"
+    f"{'-' if i % 2 == 0 else ''}1e154,{(i % 5) * 0.5 - 1.0}\n"
+    for i in range(12)
+)
+
+
+@pytest.mark.parametrize("family", ["scad", "mcp"])
+@pytest.mark.parametrize("flags, message", [
+    ([], "theta_max must be positive"),
+    (["--no-standardize"], "univariate_solve requires v > 0"),
+])
+def test_overflow_inside_the_fit_is_numerical_error(tmp_path, capsys, family, flags, message):
+    f = tmp_path / "overflow.csv"
+    f.write_text(OVERFLOW_CSV)
+    with np.errstate(all="ignore"):
+        rc = main(["fit", "--input", str(f), "--family", family, *flags,
+                   "--output-model", str(tmp_path / "m.json"),
+                   "--output-path", str(tmp_path / "p.csv")])
+    assert rc == 5
+    assert capsys.readouterr().err == f"numerical failure: {message}\n"
+
+
+@pytest.mark.parametrize("flag, value", [("replicates", "0"), ("rho", "1.5"), ("p", "3")])
+def test_bad_scenario_is_validation_error_before_any_output(tmp_path, capsys, flag, value):
+    args = {"n": "40", "p": "12", "rho": "0", "replicates": "1", flag: value}
+    out = tmp_path / "out"
+    rc = main(["simulate", "--seed", "1", "--fit", "lasso", "--output-dir", str(out),
+               *[part for key, val in args.items() for part in (f"--{key}", val)]])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"validation error: {flag} ") and value in err
+    assert not out.exists()
 
 
 def test_positive_trunc_without_flag_is_validation_error(tmp_path, capsys):

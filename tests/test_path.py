@@ -7,7 +7,8 @@ import pytest
 
 import icsel.path
 from icsel import Dataset, standardize
-from icsel.em import EMWorkspace
+from icsel.em import EM_RELDIST_TOL, EMWorkspace
+from icsel.errors import NumericalError
 from icsel.likelihood import loglik
 from icsel.path import (
     fit_families,
@@ -78,7 +79,7 @@ def test_grid_adaptive_epsilon():
 
 
 def test_grid_rejects_nonpositive():
-    with pytest.raises(ValueError):
+    with pytest.raises(NumericalError):
         theta_grid(0.0, "lasso")
 
 
@@ -267,7 +268,8 @@ def test_adaptive_pilot_zero_pins_coordinate():
 
 def test_adaptive_degenerates_on_empty_pilot():
     """Pure noise at small n: the lasso stage picks the empty model and the
-    adaptive stage returns it with a warning."""
+    adaptive stage is a one-record path holding the theta_1 lasso fit, with a
+    warning."""
     rng = np.random.default_rng(9)
     n, p = 60, 25
     Z = rng.normal(size=(n, p))
@@ -280,13 +282,19 @@ def test_adaptive_degenerates_on_empty_pilot():
     std, _ = standardize(ds)
     fits = fit_families(EMWorkspace(std), ["lasso", "adaptive_lasso"])
     lasso, res = fits["lasso"], fits["adaptive_lasso"]
-    pilot = lasso.states[lasso.selected].beta
-    if np.any(pilot != 0.0):
-        pytest.skip("seed produced a nonempty pilot model")
+    assert np.all(lasso.states[lasso.selected].beta == 0.0)
     assert res.degenerate
-    assert len(res.states) == 1
+    assert len(res.fits) == len(res.states) == 1
+    assert res.states[0] is lasso.states[0]
     assert np.all(res.states[0].beta == 0.0)
     assert any("degenerate" in w for w in res.warnings)
+    assert np.isnan(res.thetas).tolist() == [True] and math.isnan(res.theta_max)
+    assert res.iterations.tolist() == [0]
+    assert res.converged.tolist() == [True]
+    assert res.df.tolist() == [0]
+    assert res.selected == 0
+    assert res.gic.tobytes() == lasso.gic[:1].tobytes()
+    assert res.loglik.tobytes() == lasso.loglik[:1].tobytes()
 
 
 def test_adaptive_rerun_bit_identical():
@@ -375,6 +383,22 @@ def test_null_fit_arrays_are_readonly():
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 1.0
+
+
+def test_path_columns_come_from_the_records():
+    """Every column of a path is read off its per-point records: iterations
+    and converged from each fit's diagnostics, converged meaning the last
+    relative step fell below the EM tolerance, and GIC from loglik and df."""
+    ws = criterion2_workspace()
+    for family, res in fit_families(ws, FAMILIES).items():
+        assert len(res.fits) == 101, family
+        for r, fit in enumerate(res.fits):
+            assert res.iterations[r] == fit.diag.iterations, (family, r)
+            assert res.converged[r] == fit.diag.converged, (family, r)
+            assert res.converged[r] == (fit.diag.final_reldist < EM_RELDIST_TOL), (family, r)
+            assert res.gic[r] == gic(res.loglik[r], int(res.df[r]), ws.n, ws.p), (family, r)
+            assert res.thetas[r] == fit.theta and res.states[r] is fit.state, (family, r)
+            assert res.loglik[r] == fit.loglik and res.df[r] == fit.df, (family, r)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_DATASETS))

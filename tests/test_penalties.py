@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from icsel import PenaltySpec, penalty_value, soft_threshold, theta_max, univariate_solve
 from icsel.errors import NumericalError
+from icsel.penalties import PenaltySpec, penalty_value, soft_threshold, theta_max, univariate_solve
 
 from oracles import grid_minimize, objective_value, reference_penalty
 
@@ -92,7 +92,7 @@ def test_solve_adaptive_weight_zero_pins():
 
 
 def test_solve_requires_positive_curvature():
-    with pytest.raises(ValueError):
+    with pytest.raises(NumericalError):
         univariate_solve(LASSO, 1.0, 0.0)
 
 

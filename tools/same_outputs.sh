@@ -13,8 +13,10 @@
 # The command set: fit with all four families and path on a fit-wide input;
 # truncated scad on a fit-tall input; the t2-small campaign, with metrics
 # and impute on its files; a pure-noise input whose adaptive stage
-# degenerates; an input with constant covariates only; and malformed CSVs,
-# plus well-formed ones with quotes, blank lines and CRLF line ends.
+# degenerates; an input with constant covariates only; malformed CSVs, plus
+# well-formed ones with quotes, blank lines and CRLF line ends; and rejected
+# runs: scad with alpha 2, one covariate, covariates of +-1e154 that overflow
+# inside the fit, and a campaign of zero replicates.
 #
 # Prints one line per command and exits 0 when every output is identical,
 # 1 otherwise. Takes about a minute.
@@ -71,6 +73,12 @@ write("bad_width.csv", good.replace("1.0,3.0,0.0,1", "1.0,3.0,0.0"))
 write("bad_trailing.csv", good.replace("0.2,inf,2.0,0", "0.2,inf,2.0,0,"))
 write("bad_header.csv", good.replace("left,right", "lft,right"))
 write("bad_empty_body.csv", "left,right,z1,z2\n\n")
+write("one.csv", "left,right,z1\n0.5,1.0,0.5\n0.5,2.0,1.0\n1.0,3.0,0.0\n0.2,inf,2.0\n")
+write("overflow.csv", "left,right,z1,z2\n" + "".join(
+    f"{0.5 * (i % 4)},{'inf' if i % 3 == 0 else 0.5 * (i % 4) + 1.0},"
+    f"{'-' if i % 2 == 0 else ''}1e154,{(i % 5) * 0.5 - 1.0}\n"
+    for i in range(12)
+))
 write("truth.csv", "-1.4,-0.83,-1.64,0.69,1.39,1.65\n")
 write("genotypes.csv", "g1,g2,g3\n0,1,2\nna,1,\n2,nan,1\n1,0,0\n")
 PY
@@ -98,6 +106,10 @@ cases=(
   "bad-header|fit --input $inputs/bad_header.csv --family lasso $fit"
   "bad-empty-body|fit --input $inputs/bad_empty_body.csv --family lasso $fit"
   "bad-missing-file|fit --input $inputs/absent.csv --family lasso $fit"
+  "scad-alpha-2|fit --input $inputs/noise.csv --family scad --alpha 2 $fit"
+  "one-covariate|fit --input $inputs/one.csv --family lasso $fit"
+  "overflow|fit --input $inputs/overflow.csv --family scad $fit"
+  "zero-replicates|simulate --n 40 --p 12 --rho 0 --replicates 0 --seed 1 --fit lasso --output-dir out"
 )
 
 run_all() {  # run_all SRC_DIR OUT_DIR
