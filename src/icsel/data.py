@@ -147,16 +147,22 @@ def standardize(dataset: Dataset) -> tuple[Dataset, StandardizationRecord]:
 
     The scale is the population-style root mean square about the mean, so the
     standardized second moment is exactly 1. Constant columns are flagged and
-    left untouched.
+    left untouched. A column whose mean or scale overflows is rejected.
     """
     if dataset.n < 2:
         raise ValidationError("standardization needs at least 2 subjects")
     if dataset.p < 1:
         raise ValidationError("standardization needs at least 1 covariate")
     Z = dataset.covariates
-    center = Z.mean(axis=0)
-    centered = Z - center
-    scale = np.sqrt(np.mean(centered * centered, axis=0))
+    with np.errstate(over="ignore"):
+        center = Z.mean(axis=0)
+        centered = Z - center
+        scale = np.sqrt(np.mean(centered * centered, axis=0))
+    overflowed = np.flatnonzero(~(np.isfinite(center) & np.isfinite(scale)))
+    if overflowed.size:
+        raise ValidationError(
+            f"covariate {overflowed[0]} is too large to standardize (its mean or scale overflows)"
+        )
     constant = (Z.max(axis=0) - Z.min(axis=0)) <= _CONST_SCALE_TOL * np.maximum(
         1.0, np.abs(center)
     )

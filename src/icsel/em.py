@@ -299,7 +299,7 @@ def coordinate_descent_pass(
             continue
         yj = base[j] - corr[j] + v[j] * new[j]
         if penalized[j]:
-            wj = None if weights is None else float(weights[j])
+            wj = 1.0 if weights is None else float(weights[j])
             bj = univariate_solve(spec, yj, float(v[j]), weight=wj)
         else:
             bj = yj / v[j]

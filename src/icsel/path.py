@@ -14,14 +14,14 @@ are excluded from selection (they still seed the next warm start).
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass, field, replace
 
 import numpy as np
 
 from .em import EMWorkspace, FitDiagnostics, baseline_lambda_fit, estep, fit_fixed_theta, surrogate
 from .errors import NumericalError, ValidationError
 from .likelihood import ModelState, _loglik_indexed
-from .penalties import DEFAULT_ALPHA, PenaltySpec, theta_max
+from .penalties import PenaltySpec, theta_max
 
 GRID_SIZE = 101
 EPSILON = {"lasso": 0.05, "scad": 0.05, "mcp": 0.05, "adaptive_lasso": 1e-4}
@@ -180,10 +180,10 @@ def run_path(
     which GIC is undefined is rejected before any fit.
     """
     check_gic_defined(ws.n, ws.p)
-    if alpha is None:
-        alpha = DEFAULT_ALPHA.get(family)
+    # family, alpha and weights; every grid point's spec sets its own theta
+    base = PenaltySpec(family=family, theta=0.0, alpha=alpha, weights=weights)
     y0, v0, lam0, beta0, xb = null_linearization(ws)
-    tmax = theta_max(family, y0, v0, weights=weights, alpha=alpha, penalized=ws.pen_mask)
+    tmax = theta_max(base, y0, v0, penalized=ws.pen_mask)
     grid = theta_grid(tmax, family)
     fits: list[GridFit] = []
     restricted_first = bool(np.any(beta0 != 0.0))
@@ -194,7 +194,7 @@ def run_path(
             # keeps penalized coordinates pinned while unpenalized ones refit
             spec = PenaltySpec(family="lasso", theta=_RESTRICTED_THETA)
         else:
-            spec = PenaltySpec(family=family, theta=float(theta), alpha=alpha, weights=weights)
+            spec = replace(base, theta=float(theta))
         state, diag, xb = fit_fixed_theta(ws, spec, beta, lam, xb)
         beta, lam = state.beta, state.lam
         nnz = int(np.count_nonzero(state.beta[ws.pen_mask]))
@@ -205,8 +205,7 @@ def run_path(
         # rejects a non-finite state too
         ll = _loglik_indexed(state, xb, ws.a, ws.c, ws.d, ws.ic)
         fits.append(GridFit(float(theta), state, diag, ll, nnz))
-    weights = None if weights is None else np.asarray(weights, dtype=float)
-    return PathResult(family, alpha, float(tmax), fits, ws.n, ws.p, weights=weights)
+    return PathResult(family, base.alpha, float(tmax), fits, ws.n, ws.p, weights=base.weights)
 
 
 def fit_families(ws: EMWorkspace, families, alpha: float | None = None) -> dict[str, PathResult]:

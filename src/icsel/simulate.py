@@ -141,13 +141,10 @@ def gen_event_times(
     return event_time_from_exponential(E, xb, eta, kappa)
 
 
-def gen_inspections(rng: np.random.Generator, n: int | None = None) -> np.ndarray:
-    """Inspection times V_t = V_{t-1} + U(0.1, (2+t)/10), V_0 = 0, t = 1..6."""
+def gen_inspections(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n rows of inspection times V_t = V_{t-1} + U(0.1, (2+t)/10), V_0 = 0, t = 1..6."""
     upper = (2.0 + np.arange(1, 7)) / 10.0
-    size = (1, 6) if n is None else (n, 6)
-    gaps = rng.uniform(0.1, upper, size=size)
-    times = np.cumsum(gaps, axis=1)
-    return times[0] if n is None else times
+    return np.cumsum(rng.uniform(0.1, upper, size=(n, 6)), axis=1)
 
 
 def censor_all(T: np.ndarray, inspections: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

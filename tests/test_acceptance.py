@@ -98,7 +98,7 @@ def test_criterion_1b_solver_beats_dense_grid(capsys):
             family=family, theta=theta, alpha=alpha,
             weights=None if weight is None else np.array([weight]),
         )
-        b = univariate_solve(spec, y, v, weight=weight)
+        b = univariate_solve(spec, y, v, weight=1.0 if weight is None else weight)
         span = 10.0 * max(abs(y) / v, 1e-3)
         grid = np.linspace(-span, span, 100001)
         pen = _penalty_array(family, theta, alpha, grid, weight)

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -324,7 +325,7 @@ def test_nonfinite_fit_is_numerical_error(tmp_path, capsys, monkeypatch):
         "numerical failure: model state contains non-finite beta or lambda values\n")
 
 
-# z1 = +-1e154: its squares overflow, so the fit itself breaks down
+# z1 = +-1e154: its squares overflow, in standardize or, unstandardized, in the fit
 OVERFLOW_CSV = "left,right,z1,z2\n" + "".join(
     f"{0.5 * (i % 4)},{'inf' if i % 3 == 0 else 0.5 * (i % 4) + 1.0},"
     f"{'-' if i % 2 == 0 else ''}1e154,{(i % 5) * 0.5 - 1.0}\n"
@@ -332,20 +333,32 @@ OVERFLOW_CSV = "left,right,z1,z2\n" + "".join(
 )
 
 
-@pytest.mark.parametrize("family", ["scad", "mcp"])
-@pytest.mark.parametrize("flags, message", [
-    ([], "theta_max must be positive"),
-    (["--no-standardize"], "univariate_solve requires v > 0"),
-])
-def test_overflow_inside_the_fit_is_numerical_error(tmp_path, capsys, family, flags, message):
+def _fit_overflow_csv(tmp_path, family, *flags):
     f = tmp_path / "overflow.csv"
     f.write_text(OVERFLOW_CSV)
+    return main(["fit", "--input", str(f), "--family", family, *flags,
+                 "--output-model", str(tmp_path / "m.json"),
+                 "--output-path", str(tmp_path / "p.csv")])
+
+
+@pytest.mark.parametrize("family", ["lasso", "adaptive-lasso", "scad", "mcp"])
+def test_covariate_too_large_to_standardize_is_validation_error(tmp_path, capsys, family):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = _fit_overflow_csv(tmp_path, family)
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        "validation error: covariate 0 is too large to standardize "
+        "(its mean or scale overflows)\n")
+    assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("family", ["scad", "mcp"])
+def test_overflow_inside_the_fit_is_numerical_error(tmp_path, capsys, family):
     with np.errstate(all="ignore"):
-        rc = main(["fit", "--input", str(f), "--family", family, *flags,
-                   "--output-model", str(tmp_path / "m.json"),
-                   "--output-path", str(tmp_path / "p.csv")])
+        rc = _fit_overflow_csv(tmp_path, family, "--no-standardize")
     assert rc == 5
-    assert capsys.readouterr().err == f"numerical failure: {message}\n"
+    assert capsys.readouterr().err == "numerical failure: univariate_solve requires v > 0\n"
 
 
 @pytest.mark.parametrize("flag, value", [("replicates", "0"), ("rho", "1.5"), ("p", "3")])
@@ -676,7 +689,8 @@ def test_campaign_different_seed_differs(campaign, tmp_path):
 
 
 def test_perfbench_traced_cli_functions_exist():
-    """Every icsel.cli function the benchmark traces by name is still defined."""
+    """Every icsel.cli function the benchmark traces by name, and every
+    function it folds, is still defined."""
     spans_py = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", spans_py)
     spans = importlib.util.module_from_spec(spec)
@@ -685,6 +699,10 @@ def test_perfbench_traced_cli_functions_exist():
     assert traced
     for attr in traced:
         assert inspect.isfunction(getattr(cli, attr, None)), attr
+    assert spans.FOLDED
+    for _, module, attr in spans.FOLDED:
+        fn = getattr(importlib.import_module(module), attr, None)
+        assert inspect.isfunction(fn), f"{module}.{attr}"
 
 
 def test_cli_import_leaves_scipy_unloaded():

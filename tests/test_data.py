@@ -1,6 +1,7 @@
 """Dataset container, validation messages, and standardization."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -162,6 +163,23 @@ def test_standardize_needs_two_subjects():
     ds = Dataset(left=[0.0], right=[1.0], covariates=np.zeros((1, 1)))
     with pytest.raises(ValidationError):
         standardize(ds)
+
+
+@pytest.mark.parametrize("column", [
+    [1e154, -1e154, 1e154],  # the squares overflow: scale inf
+    [1e308, 1e308, 5e307],  # the sum overflows: mean inf
+], ids=["scale", "mean"])
+def test_standardize_rejects_overflowing_column(column):
+    """The column is named, and numpy warns about nothing."""
+    ds = Dataset(
+        left=[0.0, 1.0, 2.0],
+        right=[1.0, 2.0, 3.0],
+        covariates=np.column_stack([np.arange(3.0), column]),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="covariate 1 is too large to standardize"):
+            standardize(ds)
 
 
 def test_destandardize_round_trip():

@@ -15,8 +15,13 @@
 # and impute on its files; a pure-noise input whose adaptive stage
 # degenerates; an input with constant covariates only; malformed CSVs, plus
 # well-formed ones with quotes, blank lines and CRLF line ends; and rejected
-# runs: scad with alpha 2, one covariate, covariates of +-1e154 that overflow
-# inside the fit, and a campaign of zero replicates.
+# runs: scad with alpha 2, one covariate, covariates of +-1e154 too large to
+# standardize and, unstandardized, overflowing inside the fit, and a campaign
+# of zero replicates.
+#
+# numpy warnings on stderr name the source file and line that raised them.
+# Before the comparison, each run's source directory becomes SRC and the line
+# number after SRC/...py: becomes N, so moved code compares equal.
 #
 # Prints one line per command and exits 0 when every output is identical,
 # 1 otherwise. Takes about a minute.
@@ -109,6 +114,7 @@ cases=(
   "scad-alpha-2|fit --input $inputs/noise.csv --family scad --alpha 2 $fit"
   "one-covariate|fit --input $inputs/one.csv --family lasso $fit"
   "overflow|fit --input $inputs/overflow.csv --family scad $fit"
+  "overflow-raw|fit --input $inputs/overflow.csv --family scad --no-standardize $fit"
   "zero-replicates|simulate --n 40 --p 12 --rho 0 --replicates 0 --seed 1 --fit lasso --output-dir out"
 )
 
@@ -122,6 +128,17 @@ run_all() {  # run_all SRC_DIR OUT_DIR
     # shellcheck disable=SC2086  # args is a word list
     (cd "$2/$name" && PYTHONPATH=$1 python3 -m icsel.cli $args >stdout 2>stderr) || rc=$?
     echo "$rc" >"$2/$name/rc"
+    SRC_DIR=$1 python3 - "$2/$name/stderr" <<'PY'
+import os
+import re
+import sys
+
+path = sys.argv[1]
+with open(path) as fh:
+    text = fh.read().replace(os.environ["SRC_DIR"] + "/", "SRC/")
+with open(path, "w") as fh:
+    fh.write(re.sub(r"^(SRC/\S+\.py):\d+:", r"\1:N:", text, flags=re.M))
+PY
   done
 }
 
