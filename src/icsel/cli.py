@@ -5,8 +5,7 @@ CSV with columns left,right[,trunc] followed by covariate columns; `right`
 accepts the literal `inf` for right-censored subjects. Floats are written
 with 17 significant digits so outputs are reproducible bit for bit.
 
-Exit codes: 0 ok, 2 parse error, 3 validation error, 4 degenerate support,
-5 numerical failure.
+Exit code 0 means success; each error class in `icsel.errors` carries its own.
 """
 
 from __future__ import annotations
@@ -27,13 +26,8 @@ import numpy as np
 
 from .data import Dataset, standardize, validate
 from .em import EMWorkspace
-from .errors import (
-    DegenerateSupportError,
-    NumericalError,
-    ParseError,
-    ValidationError,
-)
-from .metrics import aggregate, hazard_sup_distance, score
+from .errors import IcselError, ParseError, ValidationError
+from .metrics import METRIC_FIELDS, aggregate, hazard_sup_distance, score
 from .path import PathResult, fit_families
 from .penalties import DEFAULT_ALPHA, FAMILIES
 from .simulate import (
@@ -47,6 +41,11 @@ from .simulate import (
 )
 
 _MISSING = ("", "na", "nan")
+
+
+def _covariate_names(indices) -> list[str]:
+    """Default names of the covariates at 0-based indices: z1, z2, ..."""
+    return [f"z{j + 1}" for j in indices]
 
 
 def _fmt(x) -> str:
@@ -197,7 +196,7 @@ def read_matrix_csv(path, allow_nan: bool = False) -> tuple[np.ndarray, list[str
 
 
 def write_dataset_csv(path, dataset: Dataset, names: list[str] | None = None) -> None:
-    names = names or [f"z{j + 1}" for j in range(dataset.p)]
+    names = names or _covariate_names(range(dataset.p))
     has_trunc = dataset.truncated
     head = ["left", "right"] + (["trunc"] if has_trunc else []) + list(names)
     cols = [dataset.left, dataset.right] + ([dataset.truncation] if has_trunc else [])
@@ -206,7 +205,7 @@ def write_dataset_csv(path, dataset: Dataset, names: list[str] | None = None) ->
 
 def write_midpoint_csv(path, dataset: Dataset, names: list[str] | None = None) -> None:
     """Midpoint-imputed (time, event) export for right-censored-data fitters."""
-    names = names or [f"z{j + 1}" for j in range(dataset.p)]
+    names = names or _covariate_names(range(dataset.p))
     time, event = midpoint_impute(dataset)
     write_table(path, ["time", "event"] + list(names),
                 np.column_stack([time, event, dataset.covariates]))
@@ -237,8 +236,7 @@ def _json_default(obj):
 
 def _original_scale(dataset: Dataset, result: PathResult) -> tuple[np.ndarray, np.ndarray]:
     """(coefficients, jump sizes) of the selected fit on the dataset's original scale."""
-    state = result.selected_state
-    record = dataset.standardization
+    state, record = result.selected_state, dataset.standardization
     if record is None:
         return state.beta, state.lam
     return record.to_original_scale(state.beta, state.lam)
@@ -246,12 +244,11 @@ def _original_scale(dataset: Dataset, result: PathResult) -> tuple[np.ndarray, n
 
 def model_json(result: PathResult, dataset: Dataset, names: list[str]) -> dict:
     state = result.selected_state
-    beta_std = state.beta
     beta_orig, lam_orig = _original_scale(dataset, result)
     record = dataset.standardization
     nonzero = {names[j]: float(beta_orig[j]) for j in np.flatnonzero(beta_orig)}
     sel = result.selected
-    doc = {
+    return {
         "family": result.family,
         "alpha": result.alpha,
         "theta_max": result.theta_max,
@@ -264,7 +261,7 @@ def model_json(result: PathResult, dataset: Dataset, names: list[str]) -> dict:
         "iterations": int(result.iterations[sel]),
         "selected_covariates": nonzero,
         "beta_original_scale": beta_orig,
-        "beta_standardized": beta_std,
+        "beta_standardized": state.beta,
         "baseline": {
             "lower": state.support.lower,
             "upper": state.support.upper,
@@ -275,7 +272,6 @@ def model_json(result: PathResult, dataset: Dataset, names: list[str]) -> dict:
         "warnings": list(result.warnings),
         "degenerate": result.degenerate,
     }
-    return doc
 
 
 def write_model_json(path, result, dataset, names) -> None:
@@ -294,31 +290,30 @@ def _penalty_factors_for(args: argparse.Namespace, names: list[str], p: int) -> 
         mat, _ = read_matrix_csv(args.penalty_factors)
         flat = mat.ravel()
         if flat.size != p:
-            raise ValidationError(
-                f"penalty factor file has {flat.size} entries for {p} covariates"
-            )
+            raise ValidationError(f"penalty factor file has {flat.size} entries for {p} covariates")
         factors = flat
-    for raw in args.unpenalized.split(","):
-        name = raw.strip()
-        if not name:
-            continue
+    for name in filter(None, map(str.strip, args.unpenalized.split(","))):
         if name not in names:
             raise ValidationError(f"--unpenalized column {name!r} not in the input header")
         factors[names.index(name)] = 0.0
     return factors
 
 
-def _prepare_dataset(args: argparse.Namespace):
-    dataset, names = read_dataset_csv(args.input)
-    factors = _penalty_factors_for(args, names, dataset.p)
-    dataset = dataset.replace(penalty_factors=factors)
+def _validated(dataset: Dataset) -> Dataset:
+    """The dataset itself, or a ValidationError listing its violations."""
     violations = validate(dataset)
     if violations:
         raise ValidationError("; ".join(violations))
+    return dataset
+
+
+def _prepare_dataset(args: argparse.Namespace):
+    dataset, names = read_dataset_csv(args.input)
+    factors = _penalty_factors_for(args, names, dataset.p)
+    dataset = _validated(dataset.replace(penalty_factors=factors))
     if not args.truncation and dataset.truncated:
-        raise ValidationError(
-            "input has positive trunc values; rerun with --truncation to honor them"
-        )
+        raise ValidationError("input has positive trunc values; "
+                              "rerun with --truncation to honor them")
     if args.standardize:
         dataset, _ = standardize(dataset)
     return EMWorkspace(dataset), names
@@ -341,16 +336,13 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     truth, _ = read_matrix_csv(args.truth)
     truth = truth.ravel()
     if est.shape[1] != truth.size:
-        raise ValidationError(
-            f"estimates have {est.shape[1]} columns but truth has {truth.size}"
-        )
+        raise ValidationError(f"estimates have {est.shape[1]} columns but truth has {truth.size}")
     reports = [score(row, truth, tol=args.tol) for row in est]
     agg = aggregate(reports)
-    keys = ("l1_error", "l2_error", "fp", "fn")
-    rows = [[i + 1] + [getattr(rep, k) for k in keys] for i, rep in enumerate(reports)]
-    rows.append(["mean"] + [agg.means[k] for k in keys])
-    rows.append(["se"] + [agg.ses[k] for k in keys])
-    write_table(args.output, ["row", *keys], rows)
+    rows = [[i + 1] + [getattr(rep, k) for k in METRIC_FIELDS] for i, rep in enumerate(reports)]
+    rows.append(["mean"] + [agg.means[k] for k in METRIC_FIELDS])
+    rows.append(["se"] + [agg.ses[k] for k in METRIC_FIELDS])
+    write_table(args.output, ["row", *METRIC_FIELDS], rows)
     return 0
 
 
@@ -360,14 +352,10 @@ def cmd_impute(args: argparse.Namespace) -> int:
             raise ValidationError("impute: missing or invalid --seed")
         mat, header = read_matrix_csv(args.input, allow_nan=True)
         rng = np.random.default_rng(np.random.SeedSequence(args.seed))
-        filled = impute_genotypes(mat, rng)
-        write_matrix_csv(args.output, filled, header=header)
+        write_matrix_csv(args.output, impute_genotypes(mat, rng), header=header)
     else:
         dataset, names = read_dataset_csv(args.input)
-        violations = validate(dataset)
-        if violations:
-            raise ValidationError("; ".join(violations))
-        write_midpoint_csv(args.output, dataset, names)
+        write_midpoint_csv(args.output, _validated(dataset), names)
     return 0
 
 
@@ -392,126 +380,91 @@ def _scenario_from_args(args: argparse.Namespace) -> ScenarioConfig:
     return ScenarioConfig(**overrides)
 
 
-def _replicate_worker(rep_index, seed_seq, *, scenario, families, do_standardize,
-                      output_dir, emit_data, emit_midpoint):
-    dataset_raw, beta_true, _ = make_replicate(scenario, seed_seq)
-    names = [f"z{j + 1}" for j in range(dataset_raw.p)]
+_REPLICATE_HEADER = ["replicate", "family", *METRIC_FIELDS, "hazard_sup", "selected_theta",
+                     "selected_index", "df", "converged_points", "rc_rate"]
+
+
+def _replicate_worker(rep_index, seed_seq, *, args, scenario, families):
+    """Make, write and fit one replicate.
+
+    Returns its censoring.csv row and, per family in order, the fit's
+    FitReport and replicates.csv row.
+    """
+    dataset, beta_true, _ = make_replicate(scenario, seed_seq)
     tag = f"rep{rep_index:04d}"
-    if emit_data:
-        write_dataset_csv(output_dir / f"data_{tag}.csv", dataset_raw, names)
-    if emit_midpoint:
-        write_midpoint_csv(output_dir / f"midpoint_{tag}.csv", dataset_raw, names)
-    out = {
-        "replicate": rep_index,
-        "rc_rate": float(np.mean(~np.isfinite(dataset_raw.right))),
-        "lc_rate": float(np.mean(dataset_raw.left == 0)),
-        "families": {},
-    }
+    if args.emit_data:
+        write_dataset_csv(Path(args.output_dir) / f"data_{tag}.csv", dataset)
+    if args.emit_midpoint:
+        write_midpoint_csv(Path(args.output_dir) / f"midpoint_{tag}.csv", dataset)
+    rc_rate = float(np.mean(~np.isfinite(dataset.right)))
+    censoring = [rep_index + 1, rc_rate, float(np.mean(dataset.left == 0))]
     if not families:
-        return out
-    dataset = standardize(dataset_raw)[0] if do_standardize else dataset_raw
+        return censoring, []
+    if args.standardize:
+        dataset, _ = standardize(dataset)
     ws = EMWorkspace(dataset)
+    fits = []
     for fam, res in fit_families(ws, families).items():
         beta_raw, lam_raw = _original_scale(dataset, res)
-        out["families"][fam] = {
-            "report": score(beta_raw, beta_true),
-            "hazard_sup": hazard_sup_distance(
-                ws.support, lam_raw, scenario.weibull_eta, scenario.weibull_kappa
-            ),
-            "selected_theta": float(res.thetas[res.selected]),
-            "selected_index": res.selected + 1,
-            "df": int(res.df[res.selected]),
-            "converged_points": int(np.count_nonzero(res.converged)),
-        }
-    return out
+        report = score(beta_raw, beta_true)
+        hazard_sup = hazard_sup_distance(ws.support, lam_raw, scenario.weibull_eta,
+                                         scenario.weibull_kappa)
+        sel = res.selected
+        row = [rep_index + 1, fam, *(getattr(report, k) for k in METRIC_FIELDS), hazard_sup,
+               res.thetas[sel], sel + 1, res.df[sel], np.count_nonzero(res.converged), rc_rate]
+        fits.append((report, row))
+    return censoring, fits
 
 
-def run_campaign(
-    scenario: ScenarioConfig,
-    families: list[str],
-    output_dir,
-    threads: int = 1,
-    do_standardize: bool = True,
-    emit_data: bool = False,
-    emit_midpoint: bool = False,
-) -> None:
-    """Generate, fit and score every replicate and write the campaign file set.
-
-    Replicates are independent: each gets its own spawned seed substream, so
-    results do not depend on the worker count.
-    """
-    for fam in families:
-        if fam not in FAMILIES:
-            raise ValidationError(f"unknown family {fam!r}")
-    output_dir = Path(output_dir)
-    output_dir.mkdir(parents=True, exist_ok=True)
-    work = functools.partial(
-        _replicate_worker, scenario=scenario, families=list(families),
-        do_standardize=do_standardize, output_dir=output_dir,
-        emit_data=emit_data, emit_midpoint=emit_midpoint,
-    )
-    seeds = replicate_seeds(scenario)
-    if threads > 1 and len(seeds) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, range(len(seeds)), seeds))
-    else:
-        results = list(map(work, range(len(seeds)), seeds))
-    aggregates = {fam: aggregate([res["families"][fam]["report"] for res in results])
-                  for fam in families}
-    _write_campaign_files(output_dir, scenario, families, results, aggregates)
-
-
-def _write_campaign_files(output_dir, scenario, families, results, aggregates):
-    keys = ("l1_error", "l2_error", "fp", "fn")
-    write_table(
-        output_dir / "summary.csv",
-        ["family", "l1_mean", "l1_se", "l2_mean", "l2_se",
-         "fp_mean", "fp_se", "fn_mean", "fn_se", "hazard_sup_mean"],
-        [[fam]
-         + [v for k in keys for v in (aggregates[fam].means[k], aggregates[fam].ses[k])]
-         + [np.mean([res["families"][fam]["hazard_sup"] for res in results])]
-         for fam in families],
-    )
-    fields = ("hazard_sup", "selected_theta", "selected_index", "df", "converged_points")
-    rows = []
-    for res in results:
-        for fam in families:
-            info = res["families"][fam]
-            rows.append([res["replicate"] + 1, fam] + [getattr(info["report"], k) for k in keys]
-                        + [info[k] for k in fields] + [res["rc_rate"]])
-    write_table(
-        output_dir / "replicates.csv",
-        ["replicate", "family", "l1_error", "l2_error", "fp", "fn", *fields, "rc_rate"],
-        rows,
-    )
-    write_table(
-        output_dir / "censoring.csv",
-        ["replicate", "right_censored_rate", "left_censored_rate"],
-        [[res["replicate"] + 1, res["rc_rate"], res["lc_rate"]] for res in results],
-    )
-    true_idx = np.flatnonzero(scenario.beta_true())
-    coef_names = [f"z{j + 1}" for j in true_idx]
-    for fam in families:
-        mat = np.stack(
-            [res["families"][fam]["report"].beta_hat_on_true_support for res in results]
-        )
+def _write_campaign_files(output_dir, scenario, families, results):
+    """Write summary, replicates, censoring, estimates and manifest files from
+    the replicate workers' results."""
+    per_family = list(zip(*(fits for _, fits in results)))
+    hazard_col = _REPLICATE_HEADER.index("hazard_sup")
+    summary = []
+    for fam, fits in zip(families, per_family):
+        agg = aggregate([report for report, _ in fits])
+        summary.append([fam] + [v for k in METRIC_FIELDS for v in (agg.means[k], agg.ses[k])]
+                       + [np.mean([row[hazard_col] for _, row in fits])])
+    summary_header = [f"{k.removesuffix('_error')}_{s}" for k in METRIC_FIELDS
+                      for s in ("mean", "se")]
+    write_table(output_dir / "summary.csv", ["family", *summary_header, "hazard_sup_mean"],
+                summary)
+    write_table(output_dir / "replicates.csv", _REPLICATE_HEADER,
+                [row for _, fits in results for _, row in fits])
+    write_table(output_dir / "censoring.csv",
+                ["replicate", "right_censored_rate", "left_censored_rate"],
+                [censoring for censoring, _ in results])
+    coef_names = _covariate_names(np.flatnonzero(scenario.beta_true()))
+    for fam, fits in zip(families, per_family):
+        mat = np.stack([report.beta_hat_on_true_support for report, _ in fits])
         write_matrix_csv(output_dir / f"estimates_{fam}.csv", mat, header=coef_names)
     with open(output_dir / "manifest.json", "w") as fh:
-        json.dump({"scenario": dataclasses.asdict(scenario), "families": list(families)},
+        json.dump({"scenario": dataclasses.asdict(scenario), "families": families},
                   fh, indent=1)
         fh.write("\n")
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    run_campaign(
-        _scenario_from_args(args),
-        [f.replace("-", "_") for f in args.fit.split(",") if f.strip()],
-        output_dir=args.output_dir,
-        threads=args.threads,
-        do_standardize=args.standardize,
-        emit_data=args.emit_data,
-        emit_midpoint=args.emit_midpoint,
-    )
+    """Generate, fit and score every replicate and write the campaign file set.
+
+    Replicates are independent: each gets its own spawned seed substream, so
+    results do not depend on the worker count.
+    """
+    scenario = _scenario_from_args(args)
+    families = [f.replace("-", "_") for f in args.fit.split(",") if f.strip()]
+    for fam in families:
+        if fam not in FAMILIES:
+            raise ValidationError(f"unknown family {fam!r}")
+    Path(args.output_dir).mkdir(parents=True, exist_ok=True)
+    work = functools.partial(_replicate_worker, args=args, scenario=scenario, families=families)
+    seeds = replicate_seeds(scenario)
+    if args.threads > 1 and len(seeds) > 1:
+        with ProcessPoolExecutor(max_workers=args.threads) as pool:
+            results = list(pool.map(work, range(len(seeds)), seeds))
+    else:
+        results = list(map(work, range(len(seeds)), seeds))
+    _write_campaign_files(Path(args.output_dir), scenario, families, results)
     return 0
 
 
@@ -597,18 +550,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
-    except ValidationError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return 3
-    except DegenerateSupportError as exc:
-        print(f"degenerate support: {exc}", file=sys.stderr)
-        return 4
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 5
+    except IcselError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -51,10 +51,11 @@ class EMWorkspace:
       d[i] = first support index with u_k > R_i*   (risk-set / bracket end)
     Risk cells are [a, d), bracket cells [c, d); right-censored subjects have
     c == d. Since V_i0 <= L_i, brackets always sit inside risk sets. An empty
-    support, or an interval-censored subject with c == d (an empty bracket),
-    is rejected here. `c_ic` and `d_ic` hold c and d of the interval-censored
-    subjects `ic_subjects`. `null_fit` holds the family-independent null
-    fit, filled by the first path run on the workspace.
+    support, an interval-censored subject with c == d (an empty bracket) and
+    a covariate whose sum of squares overflows are rejected here. `c_ic` and
+    `d_ic` hold c and d of the interval-censored subjects `ic_subjects`.
+    `null_fit` holds the family-independent null fit, filled by the first
+    path run on the workspace.
     """
 
     def __init__(self, dataset: Dataset):
@@ -83,7 +84,12 @@ class EMWorkspace:
         start = (-buf.ctypes.data % 64) // 8
         self.Z = buf[start : start + dataset.covariates.size].reshape(self.n, self.p)
         self.Z[...] = dataset.covariates
-        self.zsq = self.Z * self.Z
+        with np.errstate(over="ignore"):
+            self.zsq = self.Z * self.Z
+            finite = np.isfinite(self.zsq.sum(axis=0))
+        if not finite.all():
+            j = np.argmin(finite)
+            raise NumericalError(f"covariate {j} is too large to fit: its sum of squares overflows")
         record = dataset.standardization
         if record is not None:
             self.pinned = record.constant.copy()

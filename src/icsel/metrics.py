@@ -53,7 +53,7 @@ def score(beta_hat: np.ndarray, beta_true: np.ndarray, tol: float = 0.0) -> FitR
     )
 
 
-_METRIC_FIELDS = ("l1_error", "l2_error", "fp", "fn")
+METRIC_FIELDS = ("l1_error", "l2_error", "fp", "fn")
 
 
 def aggregate(reports: list[FitReport]) -> AggregateReport:
@@ -66,7 +66,7 @@ def aggregate(reports: list[FitReport]) -> AggregateReport:
     count = len(reports)
     means: dict[str, float] = {}
     ses: dict[str, float] = {}
-    for name in _METRIC_FIELDS:
+    for name in METRIC_FIELDS:
         vals = np.array([getattr(rep, name) for rep in reports], dtype=float)
         means[name] = float(vals.mean())
         ses[name] = float(vals.std(ddof=1) / math.sqrt(count)) if count > 1 else math.nan

@@ -162,4 +162,9 @@ def theta_max(
         return val
     curv = av if spec.family == "scad" else av * spec.alpha
     with np.errstate(divide="ignore"):
-        return float(np.maximum(ay, ay / curv).max())
+        theta = np.maximum(ay, ay / curv)
+    if spec.family == "mcp":
+        # v_j alpha == 1 leaves the objective flat on [0, alpha |y_j|] at theta =
+        # |y_j|, where the tie rule picks the nonzero end: step a few ulps past it
+        theta[curv == 1.0] *= 1.0 + 4 * np.finfo(float).eps
+    return float(theta.max())

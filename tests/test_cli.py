@@ -6,6 +6,7 @@ import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -325,7 +326,8 @@ def test_nonfinite_fit_is_numerical_error(tmp_path, capsys, monkeypatch):
         "numerical failure: model state contains non-finite beta or lambda values\n")
 
 
-# z1 = +-1e154: its squares overflow, in standardize or, unstandardized, in the fit
+# z1 = +-1e154: its sum of squares overflows, in standardize or, unstandardized,
+# in the fit's workspace
 OVERFLOW_CSV = "left,right,z1,z2\n" + "".join(
     f"{0.5 * (i % 4)},{'inf' if i % 3 == 0 else 0.5 * (i % 4) + 1.0},"
     f"{'-' if i % 2 == 0 else ''}1e154,{(i % 5) * 0.5 - 1.0}\n"
@@ -353,12 +355,28 @@ def test_covariate_too_large_to_standardize_is_validation_error(tmp_path, capsys
     assert not (tmp_path / "m.json").exists()
 
 
-@pytest.mark.parametrize("family", ["scad", "mcp"])
+@pytest.mark.parametrize("family", ["lasso", "adaptive-lasso", "scad", "mcp"])
 def test_overflow_inside_the_fit_is_numerical_error(tmp_path, capsys, family):
-    with np.errstate(all="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         rc = _fit_overflow_csv(tmp_path, family, "--no-standardize")
     assert rc == 5
-    assert capsys.readouterr().err == "numerical failure: univariate_solve requires v > 0\n"
+    assert capsys.readouterr().err == (
+        "numerical failure: covariate 0 is too large to fit: its sum of squares overflows\n")
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_readme_exit_codes_match_error_classes():
+    """README's exit-code table lists 0 and each error class's exit_code, with
+    a meaning that names the class's label."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Exit codes", 1)[1].split("\n## ", 1)[0]
+    rows = dict(re.findall(r"^\| (\d+) \| (.+) \|$", section, flags=re.M))
+    classes = [icsel.ParseError, icsel.ValidationError, icsel.DegenerateSupportError,
+               icsel.NumericalError]
+    assert sorted(rows) == ["0"] + sorted(str(cls.exit_code) for cls in classes)
+    for cls in classes:
+        assert cls.label.split()[0] in rows[str(cls.exit_code)], cls.__name__
 
 
 @pytest.mark.parametrize("flag, value", [("replicates", "0"), ("rho", "1.5"), ("p", "3")])
@@ -657,6 +675,61 @@ def test_campaign_rerun_is_byte_identical(campaign, tmp_path):
                  "estimates_mcp.csv", "estimates_lasso.csv",
                  "data_rep0000.csv", "midpoint_rep0002.csv", "manifest.json"):
         assert (campaign / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+def _simulate(out, *flags):
+    return main(["simulate", "--n", "60", "--p", "12", "--rho", "0.3", "--replicates", "3",
+                 "--seed", "5", "--output-dir", str(out), *flags])
+
+
+def test_campaign_without_fit_writes_censoring_only(tmp_path):
+    """No --fit: censoring rows from the simulated replicates, header-only
+    summary and replicates tables, no estimates, and the same bytes on one
+    worker as on two."""
+    assert _simulate(tmp_path / "one", "--threads", "1") == 0
+    assert _simulate(tmp_path / "two", "--threads", "2") == 0
+    cfg = ScenarioConfig(n=60, p=12, rho=0.3, beta="b6", replicates=3, seed=5)
+    expected = []
+    for r, seed in enumerate(replicate_seeds(cfg)):
+        ds = make_replicate(cfg, seed)[0]
+        expected.append([r + 1, np.mean(np.isinf(ds.right)), np.mean(ds.left == 0)])
+    one, two = tmp_path / "one", tmp_path / "two"
+    rows = read_rows(one / "censoring.csv")
+    assert rows[0] == ["replicate", "right_censored_rate", "left_censored_rate"]
+    assert [[float(c) for c in row] for row in rows[1:]] == expected
+    assert read_rows(one / "summary.csv")[1:] == []
+    assert read_rows(one / "replicates.csv")[1:] == []
+    assert json.loads((one / "manifest.json").read_text())["families"] == []
+    assert sorted(p.name for p in one.iterdir()) == [
+        "censoring.csv", "manifest.json", "replicates.csv", "summary.csv"]
+    for path in one.iterdir():
+        assert path.read_bytes() == (two / path.name).read_bytes(), path.name
+
+
+def test_unstandardized_campaign_matches_unstandardized_fit(tmp_path):
+    """--no-standardize: each replicates.csv row is the selection and score of
+    `fit --no-standardize` on the replicate's emitted data."""
+    out = tmp_path / "out"
+    assert _simulate(out, "--fit", "lasso", "--no-standardize", "--emit-data",
+                     "--threads", "1") == 0
+    rows = read_rows(out / "replicates.csv")
+    col = {name: k for k, name in enumerate(rows[0])}
+    assert len(rows) == 4
+    beta_true = ScenarioConfig(n=60, p=12, rho=0.3, beta="b6", replicates=3,
+                               seed=5).beta_true()
+    for row in rows[1:]:
+        model = tmp_path / f"model{row[0]}.json"
+        rc = main(["fit", "--input", str(out / f"data_rep{int(row[0]) - 1:04d}.csv"),
+                   "--family", "lasso", "--no-standardize", "--output-model", str(model),
+                   "--output-path", str(tmp_path / "path.csv")])
+        assert rc == 0
+        doc = json.loads(model.read_text())
+        assert doc["standardization"] is None
+        assert int(row[col["selected_index"]]) == doc["selected_index"]
+        assert float(row[col["selected_theta"]]) == doc["selected_theta"]
+        assert int(row[col["df"]]) == doc["df"]
+        l1 = np.abs(np.array(doc["beta_original_scale"]) - beta_true).sum()
+        assert float(row[col["l1_error"]]) == l1
 
 
 def test_full_scale_single_replicate_mcp_recovery(tmp_path):

@@ -186,6 +186,18 @@ def test_theta_max_mcp_example():
     assert got == pytest.approx(4.0 / 3.0, rel=1e-15)
 
 
+def test_theta_max_mcp_flat_objective_tie():
+    """v alpha == 1 exactly: at theta = |y| the MCP objective is flat on
+    [0, alpha theta] and the tie rule picks alpha theta, so theta_max must
+    lie just above |y|."""
+    y, v = 1.0, 0.6666666666666666
+    assert v * MCP.alpha == 1.0
+    assert univariate_solve(MCP, y, v) == 1.5
+    got = theta_max(MCP, np.array([y]), np.array([v]))
+    assert got == pytest.approx(1.0, rel=1e-15) and got > 1.0
+    assert univariate_solve(PenaltySpec("mcp", got), y, v) == 0.0
+
+
 def test_theta_max_adaptive_example():
     spec = PenaltySpec(family="adaptive_lasso", theta=0.0, weights=np.array([0.1, 3.0]))
     got = theta_max(spec, np.array([2.0, -1.0]), np.ones(2))
@@ -218,7 +230,8 @@ def test_theta_max_zero_score_errors():
 @st.composite
 def null_linearizations(draw):
     """(spec, y, v, weights) for one family; adaptive weights may tie the
-    binding coordinate with a second one whose |y| and weight are swapped."""
+    binding coordinate with a second one whose |y| and weight are swapped, and
+    SCAD and MCP curvatures may sit on the nonconvex boundary."""
     family = draw(st.sampled_from(FAMILIES))
     p = draw(st.integers(1, 7))
     mags = draw(st.lists(st.floats(1e-6, 3.0), min_size=p, max_size=p))
@@ -237,6 +250,12 @@ def null_linearizations(draw):
             v.append(draw(st.floats(0.02, 2.5)))
         weights = np.array(weights)
     spec = PenaltySpec(family=family, theta=0.0, weights=weights)
+    if spec.alpha is not None:
+        # v alpha = 1 for MCP, v (alpha - 1) = 1 for SCAD, exactly in floats
+        shape = spec.alpha - (family == "scad")
+        edge = 1.0 / shape
+        assert edge * shape == 1.0
+        v = [edge if draw(st.booleans()) else vj for vj in v]
     return spec, np.array(y), np.array(v), weights
 
 

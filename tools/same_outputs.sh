@@ -12,11 +12,12 @@
 #
 # The command set: fit with all four families and path on a fit-wide input;
 # truncated scad on a fit-tall input; the t2-small campaign, with metrics
-# and impute on its files; a pure-noise input whose adaptive stage
-# degenerates; an input with constant covariates only; malformed CSVs, plus
-# well-formed ones with quotes, blank lines and CRLF line ends; and rejected
-# runs: scad with alpha 2, one covariate, covariates of +-1e154 too large to
-# standardize and, unstandardized, overflowing inside the fit, and a campaign
+# and impute on its files; a campaign that fits nothing, and one that fits
+# unstandardized replicates on one worker; a pure-noise input whose adaptive
+# stage degenerates; an input with constant covariates only; malformed CSVs,
+# plus well-formed ones with quotes, blank lines and CRLF line ends; and
+# rejected runs: scad with alpha 2, one covariate, covariates of +-1e154 too
+# large to standardize and, unstandardized, too large to fit, and a campaign
 # of zero replicates.
 #
 # numpy warnings on stderr name the source file and line that raised them.
@@ -97,6 +98,8 @@ cases=(
   "path-lasso|path --input $inputs/wide.csv --family lasso --output-path path.csv"
   "tall-scad|fit --input $inputs/tall.csv --family scad --truncation $fit"
   "campaign|simulate --preset t2-small --p 100 --replicates 4 --seed 101 --fit lasso,adaptive-lasso,scad,mcp --threads 2 --emit-data --midpoint --output-dir out"
+  "campaign-nofit|simulate --preset t2-small --p 100 --replicates 4 --seed 101 --threads 2 --emit-data --output-dir out"
+  "campaign-raw|simulate --preset t2-small --p 100 --replicates 3 --seed 101 --fit lasso,adaptive-lasso,scad,mcp --no-standardize --threads 1 --output-dir out"
   "metrics|metrics --estimates ../campaign/out/estimates_mcp.csv --truth $inputs/truth.csv --output report.csv"
   "impute-midpoint|impute --mode midpoint --input ../campaign/out/data_rep0000.csv --output imputed.csv"
   "impute-genotype|impute --mode genotype --input $inputs/genotypes.csv --seed 7 --output imputed.csv"
