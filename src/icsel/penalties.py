@@ -87,6 +87,9 @@ def penalty_value(spec: PenaltySpec, b: float) -> float:
 
 def _best_candidate(spec: PenaltySpec, y: float, v: float, candidates) -> float:
     """Exact minimization over a finite candidate set; ties pick larger |b|."""
+    # a numpy scalar squares past the float range to inf, with a warning, where
+    # a Python float raises OverflowError
+    y = np.float64(y)
     best_b = 0.0
     best_m = 0.5 * v * (y / v) ** 2  # SCAD and MCP cost nothing at b = 0
     for b in candidates:
@@ -164,7 +167,10 @@ def theta_max(
     with np.errstate(divide="ignore"):
         theta = np.maximum(ay, ay / curv)
     if spec.family == "mcp":
-        # v_j alpha == 1 leaves the objective flat on [0, alpha |y_j|] at theta =
-        # |y_j|, where the tie rule picks the nonzero end: step a few ulps past it
-        theta[curv == 1.0] *= 1.0 + 4 * np.finfo(float).eps
+        # v_j alpha at or just below 1 leaves the objective flat on [0, alpha |y_j|]
+        # at theta = |y_j| / (v_j alpha) to within rounding, and the tie rule can
+        # pick the nonzero end: step a few ulps past it. Random solves picked it up
+        # to 6 ulps below 1; the band reaches 16.
+        eps = np.finfo(float).eps
+        theta[(curv <= 1.0) & (curv >= 1.0 - 8 * eps)] *= 1.0 + 4 * eps
     return float(theta.max())

@@ -285,3 +285,32 @@ def naive_cd_pass(Z, weight, working_response, beta_init, solve_fn, penalized,
         y_j = float((weight * partial) @ Z[:, j]) / n
         beta[j] = solve_fn(j, y_j, v_j)
     return beta
+
+
+def loop_cd_pass(Z, weight, base, v, beta, pinned, penalized, weights, solve,
+                 curvature_skip=1e-10):
+    """The coordinate-descent pass as a plain per-coordinate loop on numpy
+    scalars, the bitwise reference for the production scan.
+
+    base and v are the scores and curvatures at beta; solve(y_j, v_j,
+    weight=w_j) returns a penalized coordinate's update, and weights is None
+    for unit weights.
+    """
+    n = Z.shape[0]
+    w = weight
+    new = np.asarray(beta, dtype=float).copy()
+    corr = np.zeros(Z.shape[1])
+    for j in range(Z.shape[1]):
+        if pinned[j] or v[j] < curvature_skip:
+            continue
+        yj = base[j] - corr[j] + v[j] * new[j]
+        if penalized[j]:
+            wj = 1.0 if weights is None else float(weights[j])
+            bj = solve(yj, float(v[j]), weight=wj)
+        else:
+            bj = yj / v[j]
+        delta = bj - new[j]
+        if delta != 0.0:
+            corr += (w * Z[:, j]) @ Z * (delta / n)
+            new[j] = bj
+    return new

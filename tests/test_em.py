@@ -1,5 +1,6 @@
 """E-step, M-step, surrogate expansion, coordinate descent, EM driver."""
 
+import functools
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from icsel.em import (
 )
 from icsel.errors import NumericalError
 from icsel.likelihood import ModelState, loglik
+from icsel.penalties import univariate_solve
 from icsel.support import maximal_intersections
 
 from oracles import (
@@ -26,6 +28,7 @@ from oracles import (
     ew_dense,
     fd_gradient,
     fd_second_diag,
+    loop_cd_pass,
     naive_cd_pass,
     reference_penalty,
     surrogate_objective,
@@ -244,12 +247,27 @@ def baseline_lambda_fit_reference(ws, max_iter, floor=1e-300):
     return lam
 
 
-@pytest.mark.parametrize("make", [criterion2_dataset, truncated_dataset])
+def zero_risk_cell_dataset():
+    """Truncated data whose support cell (1, 2] has no subject at risk: the
+    right-censored subject leaves at 1 and the other enters at 2."""
+    return Dataset(left=[1.0, 3.0], right=[math.inf, 4.0],
+                   covariates=np.array([[0.3], [-0.2]]), truncation=[0.5, 2.0])
+
+
+@pytest.mark.parametrize("make", [criterion2_dataset, truncated_dataset, zero_risk_cell_dataset])
 def test_baseline_lambda_fit_matches_standalone_sweep(make):
     std, _ = standardize(make())
     ws = EMWorkspace(std)
     ref = baseline_lambda_fit_reference(ws, max_iter=200)
     assert np.array_equal(baseline_lambda_fit(ws, tol=0.0, max_iter=200), ref)
+
+
+def test_baseline_lambda_fit_zeroes_a_cell_without_risk():
+    std, _ = standardize(zero_risk_cell_dataset())
+    ws = EMWorkspace(std)
+    assert ws.m == 2 and ws._range_sums(ws.a, ws.d, np.ones(ws.n))[0] == 0.0
+    lam = baseline_lambda_fit(ws)
+    assert lam[0] == 0.0 and lam[1] == pytest.approx(10.78, abs=0.01)
 
 
 def test_bracket_underflow_names_the_same_subject(monkeypatch):
@@ -373,6 +391,71 @@ def test_cd_matches_naive_residual_recompute():
         want = naive_cd_pass(ws.Z, quad.weight, quad.working_response, beta0,
                              solve, ws.pen_mask)
         assert np.max(np.abs(got - want)) < 1e-10
+
+
+@pytest.mark.parametrize("family", ["lasso", "adaptive_lasso", "scad", "mcp"])
+def test_cd_pass_matches_scalar_loop_bitwise(family, monkeypatch):
+    """The scan returns the bits of the per-coordinate numpy-scalar loop over
+    four warm-started EM iterations at each of three thetas. The data hold a
+    pinned column (0) and an unpenalized coordinate (1); adaptive weights are
+    zero on coordinate 1, on coordinate 2, which starts nonzero, and on
+    coordinate 3, which starts at 0 and is skipped. Curvatures near 0.5 take
+    SCAD and MCP into their nonconvex candidate search."""
+    rng = np.random.default_rng(23)
+    n, p = 30, 8
+    left = rng.uniform(0.0, 2.0, size=n)
+    right = left + rng.uniform(0.3, 2.0, size=n)
+    right[rng.random(n) < 0.25] = math.inf
+    Z = rng.normal(size=(n, p))
+    Z[:, 0] = 3.0
+    factors = np.ones(p)
+    factors[1] = 0.0
+    std, _ = standardize(Dataset(left, right, Z, penalty_factors=factors))
+    ws = EMWorkspace(Dataset(left, right, 0.7 * std.covariates, penalty_factors=factors,
+                             standardization=std.standardization))
+    assert ws.pinned[0] and not ws.pen_mask[1] and ws.pen_mask[2:].all()
+    weights = None
+    if family == "adaptive_lasso":
+        weights = np.array([1.0, 0.0, 0.0, 0.0, 0.7, 1.3, 0.2, 2.0])
+    searches = []
+    search = icsel.penalties._best_candidate
+
+    def counted(*args):
+        searches.append(search(*args))
+        return searches[-1]
+
+    monkeypatch.setattr(icsel.penalties, "_best_candidate", counted)
+    for theta in (0.3, 0.05, 0.005):
+        spec = PenaltySpec(family, theta, weights=weights)
+        solve = functools.partial(univariate_solve, spec)
+        beta = np.zeros(p)
+        beta[[1, 2, 5]] = [0.4, -0.6, 0.3]
+        lam = np.full(ws.m, 0.2)
+        for _ in range(4):
+            cache = estep(ws, beta, lam)
+            quad = surrogate(ws, cache)
+            base, v = ws.scores(quad)
+            want = loop_cd_pass(ws.Z, quad.weight, base, v, beta, ws.pinned, ws.pen_mask,
+                                weights, solve)
+            got = coordinate_descent_pass(ws, quad, beta, spec)
+            assert got.tobytes() == want.tobytes()
+            beta = got
+            lam = mstep_lambda(ws, cache, beta)[0]
+        if weights is not None:
+            assert beta[2] == 0.0 and beta[3] == 0.0 and beta[1] != 0.0
+    # the nonconvex search ran and moved coordinates off 0
+    assert any(searches) == (family in ("scad", "mcp"))
+
+
+def test_cd_nan_curvature_still_reaches_solver_error():
+    """Zero-weight coordinates at 0 are skipped only when their curvature is
+    a number: a NaN curvature still raises univariate_solve's error."""
+    ws = workspace([0.0, 1.0, 0.5], [1.0, 2.0, 1.5], [[1.0, 0.2], [-1.0, 0.4], [0.5, -0.3]])
+    quad = surrogate(ws, estep(ws, np.zeros(2), np.full(ws.m, 0.3)))
+    quad.weight[0] = math.nan
+    spec = PenaltySpec("adaptive_lasso", 0.1, weights=np.zeros(2))
+    with pytest.raises(NumericalError, match="requires v > 0"):
+        coordinate_descent_pass(ws, quad, np.zeros(2), spec)
 
 
 def test_cd_unpenalized_coordinate_takes_least_squares_update():

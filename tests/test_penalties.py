@@ -145,6 +145,36 @@ def test_mcp_nonconvex_tie_takes_larger_magnitude():
     assert univariate_solve(spec, y, v) == 4.0
 
 
+@st.composite
+def solver_arguments(draw):
+    """(spec, y, v, weight) with v reaching SCAD's and MCP's nonconvex regime."""
+    family = draw(st.sampled_from(FAMILIES))
+    alpha = {"scad": st.floats(2.01, 6.0), "mcp": st.floats(1.01, 4.0)}.get(family)
+    weight = draw(st.floats(0.0, 3.0)) if family == "adaptive_lasso" else 1.0
+    weights = np.array([weight]) if family == "adaptive_lasso" else None
+    spec = PenaltySpec(family, draw(st.floats(0.0, 2.0)),
+                       None if alpha is None else draw(alpha), weights)
+    return spec, draw(st.floats(-4.0, 4.0)), draw(st.floats(0.01, 3.0)), weight
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(solver_arguments())
+def test_solve_same_bits_for_python_and_numpy_floats(case):
+    """The coordinate scan passes Python floats: the solver must give them
+    the bits it gives numpy scalars, the candidate search included."""
+    spec, y, v, weight = case
+    got = univariate_solve(spec, y, v, weight=weight)
+    ref = univariate_solve(spec, np.float64(y), np.float64(v), weight=np.float64(weight))
+    assert bits(got) == bits(ref)
+
+
+def test_solve_overflowing_square_gives_inf_not_error():
+    """y/v = 2e200 in MCP's candidate search: the objective at 0 overflows to
+    inf for Python-float arguments too, and the outer root wins."""
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert univariate_solve(MCP, 1e200, 0.5) == 2e200
+
+
 def random_tuple(rng):
     family = str(rng.choice(["lasso", "adaptive_lasso", "scad", "mcp"]))
     theta = float(rng.uniform(0.01, 2.0))
@@ -196,6 +226,21 @@ def test_theta_max_mcp_flat_objective_tie():
     got = theta_max(MCP, np.array([y]), np.array([v]))
     assert got == pytest.approx(1.0, rel=1e-15) and got > 1.0
     assert univariate_solve(PenaltySpec("mcp", got), y, v) == 0.0
+
+
+@PROPERTY
+@given(st.sampled_from([1, 2, 4]), st.one_of(st.just(1.5), st.floats(1.01, 10.0)),
+       st.floats(1e-6, 3.0), st.sampled_from([1.0, -1.0]))
+def test_theta_max_mcp_near_flat_objective(ulps, alpha, a, sign):
+    """v a few ulps below 1/alpha: the objective at theta = |y| / (v alpha) is
+    flat on [0, alpha theta] up to rounding, and theta_max must still solve
+    to 0."""
+    v = 1.0 / alpha
+    for _ in range(ulps):
+        v = float(np.nextafter(v, 0.0))
+    spec = PenaltySpec("mcp", 0.0, alpha)
+    got = theta_max(spec, np.array([sign * a]), np.array([v]))
+    assert univariate_solve(PenaltySpec("mcp", got, alpha), sign * a, v) == 0.0
 
 
 def test_theta_max_adaptive_example():

@@ -10,9 +10,10 @@
 # made once, by the working tree's perfbench/inputs.py and the generator
 # below, and both versions read the same files. BLAS runs on one thread.
 #
-# The command set: fit with all four families and path on a fit-wide input;
-# truncated scad on a fit-tall input; the t2-small campaign, with metrics
-# and impute on its files; a campaign that fits nothing, and one that fits
+# The command set: fit with all four families, a lasso fit with one
+# unpenalized covariate and path on a fit-wide input; truncated scad,
+# adaptive lasso and mcp on a fit-tall input; the t2-small campaign, with
+# metrics and impute on its files; a campaign that fits nothing, and one that fits
 # unstandardized replicates on one worker; a pure-noise input whose adaptive
 # stage degenerates; an input with constant covariates only; malformed CSVs,
 # plus well-formed ones with quotes, blank lines and CRLF line ends; and
@@ -97,6 +98,9 @@ cases=(
   "fit-mcp|fit --input $inputs/wide.csv --family mcp $fit"
   "path-lasso|path --input $inputs/wide.csv --family lasso --output-path path.csv"
   "tall-scad|fit --input $inputs/tall.csv --family scad --truncation $fit"
+  "tall-adaptive|fit --input $inputs/tall.csv --family adaptive-lasso --truncation $fit"
+  "tall-mcp|fit --input $inputs/tall.csv --family mcp --truncation $fit"
+  "unpenalized-lasso|fit --input $inputs/wide.csv --family lasso --unpenalized z1 $fit"
   "campaign|simulate --preset t2-small --p 100 --replicates 4 --seed 101 --fit lasso,adaptive-lasso,scad,mcp --threads 2 --emit-data --midpoint --output-dir out"
   "campaign-nofit|simulate --preset t2-small --p 100 --replicates 4 --seed 101 --threads 2 --emit-data --output-dir out"
   "campaign-raw|simulate --preset t2-small --p 100 --replicates 3 --seed 101 --fit lasso,adaptive-lasso,scad,mcp --no-standardize --threads 1 --output-dir out"
